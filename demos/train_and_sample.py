@@ -34,10 +34,9 @@ def main():
     model = init_model(2, (64, 64), spec.num_classes, schedule.num_timesteps,
                        np.random.default_rng(args.seed + 1))
 
-    config = TrainConfig(steps=30000, batch_size=128, lr=0.05, lr_final=0.005,
-                         seed=args.seed + 2)
+    config = TrainConfig(steps=30000, batch_size=128, lr=0.05, lr_final=0.005)
     t0 = time.time()
-    model, history = pretrain(model, data, schedule, config)
+    model, history = pretrain(model, data, schedule, config, args.seed + 2)
     print(f"trained {config.steps} steps in {time.time() - t0:.1f}s; "
           f"loss {history[0]:.3f} -> {np.mean(history[-200:]):.3f}")
 

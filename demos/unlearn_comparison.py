@@ -57,13 +57,13 @@ def main():
     t0 = time.time()
     model, _ = pretrain(
         model, data, schedule,
-        TrainConfig(steps=30000, batch_size=128, lr=0.05, lr_final=0.005,
-                    seed=args.seed + 2),
+        TrainConfig(steps=30000, batch_size=128, lr=0.05, lr_final=0.005),
+        args.seed + 2,
     )
     print(f"pretrained in {time.time() - t0:.1f}s")
 
-    eval_cfg = EvalConfig(n_per_condition=1500, seed=args.seed + 3)
-    before = full_eval(model, FORGET, spec, schedule, eval_cfg)
+    eval_cfg = EvalConfig(n_per_condition=1500)
+    before = full_eval(model, FORGET, spec, schedule, eval_cfg, args.seed + 3)
     print(f"before unlearning: ua={before.ua:.3f} ra={before.ra:.3f} "
           f"mmd={before.mmd:+.5f}")
 
@@ -85,7 +85,7 @@ def main():
         unlearned, reports = unlearn_run(model, forget_set, remain_set,
                                          schedule, config)
         seconds = time.time() - t0
-        after = full_eval(unlearned, FORGET, spec, schedule, eval_cfg)
+        after = full_eval(unlearned, FORGET, spec, schedule, eval_cfg, args.seed + 3)
         conflicted = float(np.mean([r.conflicted for r in reports]))
         print(f"{strategy:<11}{after.ua:7.3f}{after.ra:8.3f}{after.mmd:+11.5f}"
               f"{conflicted:9.2f}  {seconds:7.1f}")

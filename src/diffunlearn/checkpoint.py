@@ -56,15 +56,17 @@ def checkpoint_dict(
 
 def save_checkpoint(path, model, schedule, beta_min, beta_max, **provenance) -> None:
     doc = checkpoint_dict(model, schedule, beta_min, beta_max, **provenance)
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    # allow_nan=False: a non-finite parameter raises instead of writing a
+    # NaN token, which is not JSON.
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def load_checkpoint(path):
     """Load a checkpoint file.
 
-    Returns (model, schedule, provenance dict). Unknown versions and
-    parameter vectors that do not match the declared architecture are
-    rejected rather than guessed at.
+    Returns (model, schedule, provenance dict). Unknown versions, non-finite
+    parameters and parameter vectors that do not match the declared
+    architecture are rejected rather than guessed at.
     """
     path = Path(path)
     if not path.exists():
@@ -85,6 +87,8 @@ def load_checkpoint(path):
             raise CheckpointError(f"checkpoint {path} is missing '{section}'")
     arch = doc["architecture"]
     params = np.asarray(doc["params"], dtype=np.float64)
+    if not np.isfinite(params).all():
+        raise CheckpointError(f"checkpoint {path} holds non-finite parameters")
     try:
         model = NoisePredictor(
             input_dim=arch["input_dim"],

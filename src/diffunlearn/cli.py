@@ -30,9 +30,7 @@ from .data import save_dataset
 from .errors import CheckpointError, ConfigError
 from .evaluate import save_eval_report
 from .prompts import PromptTemplateSpec, gen_prompt_pairs, save_prompt_pairs
-from .unlearn import write_trajectory_csv
-
-STRATEGY_CHOICES = ("restricted", "graddiff", "finetune", "restricted+diverse")
+from .unlearn import DIVERSE, STRATEGIES, write_trajectory_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +67,11 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("unlearn", help="unlearn one class from a checkpoint")
     _add_common(p)
-    p.add_argument("--strategy", choices=STRATEGY_CHOICES, default=None)
+    p.add_argument(
+        "--strategy",
+        choices=[s + d for s in STRATEGIES for d in ("", DIVERSE)],
+        default=None,
+    )
     p.add_argument("--forget-class", type=int, default=None)
     p.add_argument("--checkpoint", type=Path, default=None)
 
@@ -93,7 +95,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("gen-prompts", help="emit forget/remain prompt pairs")
     _add_common(p)
-    p.add_argument("--count", type=int, default=16, help="pairs per split")
+    p.add_argument("--count", type=int, default=8, help="pairs per split")
     return parser
 
 

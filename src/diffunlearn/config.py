@@ -11,6 +11,7 @@ named, so a typo fails loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .diffusion import make_schedule
 from .errors import ConfigError, DomainError
 from .evaluate import EvalConfig
 from .train import TrainConfig
-from .unlearn import STRATEGIES
+from .unlearn import UnlearnConfig, parse_strategy
 
 # Stage ids for deriving per-stage rng streams from the master seed.
 STAGE_DATA = 0
@@ -35,18 +36,6 @@ STAGE_CAP = 5
 STAGE_PROMPTS = 6
 
 DIVERSITY_MODES = ("balanced", "similar")
-
-# A "+diverse" suffix on a strategy name requests class-stratified remain
-# minibatches on top of that update rule.
-DIVERSE_SUFFIX = "+diverse"
-
-
-def base_strategy(name: str) -> str:
-    """Strip the +diverse marker; raises DomainError on unknown names."""
-    base = name[: -len(DIVERSE_SUFFIX)] if name.endswith(DIVERSE_SUFFIX) else name
-    if base not in STRATEGIES:
-        raise DomainError(f"unknown strategy {name!r}")
-    return base
 
 
 def stage_seed(master_seed: int, *stage_path: int) -> int:
@@ -111,76 +100,51 @@ class ModelSection:
 
 
 @dataclass(frozen=True)
-class PretrainSection:
-    steps: int = 30_000
-    batch_size: int = 128
-    lr: float = 0.05
-    lr_final: float = 0.005
-
-    def __post_init__(self):
-        self.build(0)
-
-    def build(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            lr_final=self.lr_final,
-            seed=seed,
-        )
-
-
-@dataclass(frozen=True)
 class UnlearnSection:
-    forget_weight: float = 5.0
+    """The unlearning run plus how its loss cap and remain set are chosen.
+
+    The run's own fields take UnlearnConfig's defaults and are validated by
+    building an UnlearnConfig; the checks here cover only what exists solely
+    in the document.
+    """
+
+    forget_weight: float = UnlearnConfig.forget_weight
     loss_cap: float | None = None
     loss_cap_percentile: float = 90.0
-    step_size: float = 1e-3
-    iterations: int = 2000
-    batch_forget: int = 64
-    batch_remain: int = 64
-    strategy: str = "restricted"
-    stratify_remain: bool = False
+    step_size: float = UnlearnConfig.step_size
+    iterations: int = UnlearnConfig.iterations
+    batch_forget: int = UnlearnConfig.batch_forget
+    batch_remain: int = UnlearnConfig.batch_remain
+    strategy: str = UnlearnConfig.strategy
     remain_per_class: int = 50
     diversity: str = "balanced"
     k_nearest: int = 2
 
     def __post_init__(self):
-        base_strategy(self.strategy)
+        # A derived cap is positive by construction; 1.0 stands in for it.
+        self.build(1.0 if self.loss_cap is None else self.loss_cap, 0)
+        if not (0.0 < self.loss_cap_percentile < 100.0):
+            raise DomainError("loss_cap_percentile must lie in (0, 100)")
+        if self.remain_per_class < 1:
+            raise DomainError("remain_per_class must be >= 1")
         if self.diversity not in DIVERSITY_MODES:
             raise DomainError(
                 f"diversity must be one of {DIVERSITY_MODES}, got {self.diversity!r}"
             )
-        if self.forget_weight < 0.0:
-            raise DomainError("forget_weight must be >= 0")
-        if self.loss_cap is not None and self.loss_cap <= 0.0:
-            raise DomainError("loss_cap must be > 0 when given")
-        if not (0.0 < self.loss_cap_percentile < 100.0):
-            raise DomainError("loss_cap_percentile must lie in (0, 100)")
-        if self.step_size <= 0.0:
-            raise DomainError("step_size must be > 0")
-        if self.iterations < 0:
-            raise DomainError("iterations must be >= 0")
-        if self.batch_forget < 1 or self.batch_remain < 1:
-            raise DomainError("batch sizes must be >= 1")
-        if self.remain_per_class < 1:
-            raise DomainError("remain_per_class must be >= 1")
         if self.k_nearest < 1:
             raise DomainError("k_nearest must be >= 1")
 
-
-@dataclass(frozen=True)
-class EvalSection:
-    n_per_condition: int = 500
-    none_threshold: float = 4.0
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        EvalConfig(
-            n_per_condition=self.n_per_condition,
-            none_threshold=self.none_threshold,
-            bandwidth=self.bandwidth,
-            seed=0,
+    def build(self, loss_cap: float, seed: int) -> UnlearnConfig:
+        """The run's settings, given its resolved loss cap and stage seed."""
+        return UnlearnConfig(
+            forget_weight=self.forget_weight,
+            loss_cap=loss_cap,
+            step_size=self.step_size,
+            iterations=self.iterations,
+            batch_forget=self.batch_forget,
+            batch_remain=self.batch_remain,
+            strategy=self.strategy,
+            seed=seed,
         )
 
 
@@ -199,7 +163,7 @@ class SweepSection:
         if len(self.strategies) == 0:
             raise DomainError("sweep needs at least one strategy")
         for name in self.strategies:
-            base_strategy(name)
+            parse_strategy(name)
 
 
 @dataclass(frozen=True)
@@ -218,9 +182,9 @@ class RunConfig:
     mixture: MixtureSection = field(default_factory=MixtureSection)
     schedule: ScheduleSection = field(default_factory=ScheduleSection)
     model: ModelSection = field(default_factory=ModelSection)
-    pretrain: PretrainSection = field(default_factory=PretrainSection)
+    pretrain: TrainConfig = field(default_factory=TrainConfig)
     unlearn: UnlearnSection = field(default_factory=UnlearnSection)
-    eval: EvalSection = field(default_factory=EvalSection)
+    eval: EvalConfig = field(default_factory=EvalConfig)
     sweep: SweepSection = field(default_factory=SweepSection)
     paths: PathsSection = field(default_factory=PathsSection)
 
@@ -232,14 +196,9 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "mixture": MixtureSection,
-    "schedule": ScheduleSection,
-    "model": ModelSection,
-    "pretrain": PretrainSection,
-    "unlearn": UnlearnSection,
-    "eval": EvalSection,
-    "sweep": SweepSection,
-    "paths": PathsSection,
+    f.name: f.default_factory
+    for f in dataclasses.fields(RunConfig)
+    if f.default_factory is not dataclasses.MISSING
 }
 
 _LIST_FIELDS = {
@@ -344,55 +303,12 @@ def apply_overrides(raw: dict, assignments) -> dict:
 
 
 def default_config_dict() -> dict:
-    """The full default document, suitable as a starting config file."""
-    return {
-        "seed": 0,
-        "forget_class": 0,
-        "mixture": {
-            "num_classes": 5,
-            "radius": 5.0,
-            "sigma": 0.3,
-            "samples_per_class": 1000,
-        },
-        "schedule": {"num_timesteps": 100, "beta_min": 1e-4, "beta_max": 0.1},
-        "model": {"hidden_dims": [64, 64]},
-        "pretrain": {
-            "steps": 30_000,
-            "batch_size": 128,
-            "lr": 0.05,
-            "lr_final": 0.005,
-        },
-        "unlearn": {
-            "forget_weight": 5.0,
-            "loss_cap": None,
-            "loss_cap_percentile": 90.0,
-            "step_size": 1e-3,
-            "iterations": 2000,
-            "batch_forget": 64,
-            "batch_remain": 64,
-            "strategy": "restricted",
-            "stratify_remain": False,
-            "remain_per_class": 50,
-            "diversity": "balanced",
-            "k_nearest": 2,
-        },
-        "eval": {
-            "n_per_condition": 500,
-            "none_threshold": 4.0,
-            "bandwidth": None,
-        },
-        "sweep": {
-            "forget_weights": [0.5, 1.0, 5.0],
-            "loss_caps": None,
-            "loss_cap_scales": [0.5, 1.0, 2.0],
-            "strategies": ["restricted", "graddiff"],
-        },
-        "paths": {
-            "data_dir": ".",
-            "checkpoint_dir": ".",
-            "report_dir": ".",
-        },
-    }
+    """The full default document, suitable as a starting config file.
+
+    Derived from RunConfig's field defaults; the JSON round trip turns
+    tuples into lists.
+    """
+    return json.loads(json.dumps(dataclasses.asdict(RunConfig())))
 
 
 def config_hash(raw: dict) -> str:

@@ -98,11 +98,6 @@ def make_schedule(num_timesteps: int, beta_min: float, beta_max: float) -> Noise
     return NoiseSchedule(num_timesteps=num_timesteps, betas=betas, alpha_bars=alpha_bars)
 
 
-def default_schedule(num_timesteps: int = 100) -> NoiseSchedule:
-    """Toy-scale default: T=100 over [1e-4, 0.1], alpha_bar_T < 0.01."""
-    return make_schedule(num_timesteps, 1e-4, 0.1)
-
-
 def _per_sample_t(schedule: NoiseSchedule, t, batch: int) -> np.ndarray:
     t = np.asarray(t)
     if t.ndim == 0:

@@ -22,4 +22,4 @@ class CheckpointError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training or unlearning produced a non-finite loss or parameter."""

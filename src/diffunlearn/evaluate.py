@@ -38,13 +38,11 @@ class EvalConfig:
             classifies as "none".
         bandwidth: Gaussian kernel width for the MMD; None selects the
             median pairwise distance of the reference set.
-        seed: Stream for sampling and reference draws.
     """
 
     n_per_condition: int = 500
     none_threshold: float = 4.0
     bandwidth: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_per_condition < 1:
@@ -69,7 +67,7 @@ class EvalReport:
         per_class_counts: Histogram of oracle labels over every generated
             sample; keys are class indices as strings plus "none".
         n_samples_per_condition: Per-condition sampling budget.
-        seed: Seed that drove the evaluation.
+        seed: Seed that drove the evaluation; None when a Generator did.
     """
 
     ua: float
@@ -77,7 +75,7 @@ class EvalReport:
     mmd: float
     per_class_counts: dict
     n_samples_per_condition: int
-    seed: int
+    seed: int | None
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +92,8 @@ def classify_points(points, spec: MixtureSpec, none_threshold: float) -> np.ndar
     """Oracle labels for a batch; -1 encodes "none".
 
     Nearest class mean wins (ties to the lower index); anything farther than
-    none_threshold * sigma from every mean is -1.
+    none_threshold * sigma from every mean is -1, and so is any point with a
+    non-finite coordinate.
     """
     if none_threshold <= 0.0:
         raise DomainError("none_threshold must be > 0")
@@ -103,53 +102,9 @@ def classify_points(points, spec: MixtureSpec, none_threshold: float) -> np.ndar
     labels = dists.argmin(axis=1)
     nearest = dists[np.arange(len(points)), labels]
     labels = labels.astype(np.int64)
-    labels[nearest > none_threshold * spec.sigma] = -1
+    # Negated so that a NaN distance, which compares false, lands in "none".
+    labels[~(nearest <= none_threshold * spec.sigma)] = -1
     return labels
-
-
-def oracle_classify(x, spec: MixtureSpec, none_threshold: float = 4.0):
-    """Classify one point; returns a class index or the string "none"."""
-    label = int(classify_points(np.asarray(x)[None, :], spec, none_threshold)[0])
-    return "none" if label < 0 else label
-
-
-def unlearning_accuracy(
-    model: NoisePredictor,
-    forget_class: int,
-    spec: MixtureSpec,
-    schedule: NoiseSchedule,
-    n: int,
-    none_threshold: float,
-    rng,
-) -> float:
-    """Share of forget-conditioned samples no longer recognizable as it."""
-    gen, _ = as_generator(rng)
-    out = ddpm_sample(model, forget_class, n, schedule, gen)
-    labels = classify_points(out.samples, spec, none_threshold)
-    return float(1.0 - np.mean(labels == forget_class))
-
-
-def remaining_accuracy(
-    model: NoisePredictor,
-    forget_class: int,
-    spec: MixtureSpec,
-    schedule: NoiseSchedule,
-    n_per_class: int,
-    none_threshold: float,
-    rng,
-) -> float:
-    """Share of retain-conditioned samples classified as their condition."""
-    gen, _ = as_generator(rng)
-    correct = 0
-    total = 0
-    for k in range(spec.num_classes):
-        if k == forget_class:
-            continue
-        out = ddpm_sample(model, k, n_per_class, schedule, gen)
-        labels = classify_points(out.samples, spec, none_threshold)
-        correct += int(np.sum(labels == k))
-        total += n_per_class
-    return correct / total
 
 
 def median_bandwidth(reference) -> float:
@@ -202,17 +157,18 @@ def full_eval(
     spec: MixtureSpec,
     schedule: NoiseSchedule,
     config: EvalConfig,
+    rng,
 ) -> EvalReport:
     """Sample per condition, judge with the oracle, and compare to truth.
 
     Draw order is fixed (forget condition, retained classes ascending, then
-    reference draws), so a seed pins the whole report.
+    reference draws), so a seed passed as ``rng`` pins the whole report.
     """
     if not (0 <= forget_class < spec.num_classes):
         raise DomainError(
             f"forget_class must lie in 0..{spec.num_classes - 1}"
         )
-    gen, _ = as_generator(config.seed)
+    gen, seed = as_generator(rng)
     n = config.n_per_condition
     counts = {str(k): 0 for k in range(spec.num_classes)}
     counts["none"] = 0
@@ -255,7 +211,7 @@ def full_eval(
         mmd=mmd(generated, reference, bandwidth),
         per_class_counts=counts,
         n_samples_per_condition=n,
-        seed=config.seed,
+        seed=seed,
     )
 
 

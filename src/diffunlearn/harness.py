@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    DIVERSE_SUFFIX,
     STAGE_CAP,
     STAGE_DATA,
     STAGE_EVAL,
@@ -23,7 +22,6 @@ from .config import (
     STAGE_PRETRAIN,
     STAGE_UNLEARN,
     RunConfig,
-    base_strategy,
     stage_seed,
 )
 from .data import (
@@ -34,15 +32,15 @@ from .data import (
 )
 from .diffusion import make_schedule
 from .errors import ConfigError, DomainError
-from .evaluate import EvalConfig, EvalReport, full_eval
+from .evaluate import EvalReport, full_eval
 from .nn import init_model
 from .rngs import as_generator
 from .train import derive_loss_cap, pretrain
-from .unlearn import UnlearnConfig, unlearn_run
+from .unlearn import DIVERSE, unlearn_run
 
-# Strategies compared by the ablation. The "+diverse" variant is the
-# restricted update fed class-stratified remain minibatches.
-ABLATION_STRATEGIES = ("graddiff", "restricted", "restricted" + DIVERSE_SUFFIX)
+# Strategies compared by the ablation; the last is the restricted update fed
+# class-stratified remain minibatches.
+ABLATION_STRATEGIES = ("graddiff", "restricted", "restricted" + DIVERSE)
 
 SWEEP_COLUMNS = (
     "forget_weight",
@@ -97,11 +95,6 @@ EVAL_COLUMNS = (
 )
 
 
-def resolve_strategy(name: str):
-    """Map a strategy label to (update rule, stratified minibatches)."""
-    return base_strategy(name), name.endswith(DIVERSE_SUFFIX)
-
-
 def build_dataset(config: RunConfig):
     """Mixture spec plus the sampled dataset for this config's seed."""
     spec = config.mixture.build()
@@ -131,8 +124,9 @@ def pretrain_from_config(config: RunConfig, data: LabeledDataset, spec=None):
     """Initialize and train the conditional denoiser; returns (model, history)."""
     schedule = build_schedule(config)
     model = init_from_config(config, spec)
-    train_cfg = config.pretrain.build(stage_seed(config.seed, STAGE_PRETRAIN))
-    return pretrain(model, data, schedule, train_cfg)
+    return pretrain(
+        model, data, schedule, config.pretrain, stage_seed(config.seed, STAGE_PRETRAIN)
+    )
 
 
 def resolve_loss_cap(config: RunConfig, model, data: LabeledDataset, schedule) -> float:
@@ -154,18 +148,9 @@ def resolve_loss_cap(config: RunConfig, model, data: LabeledDataset, schedule) -
     )
 
 
-def build_remain_set(config: RunConfig, data: LabeledDataset) -> LabeledDataset:
-    """Select the remain subset per the configured diversification mode.
-
-    Both modes produce the same total size (remain_per_class per retained
-    class), so balanced and similarity-restricted runs compare like for like.
-    """
+def _similar_remain_set(config: RunConfig, data: LabeledDataset, rng) -> LabeledDataset:
+    """Remain set drawn from the k_nearest classes, sized like a balanced one."""
     section = config.unlearn
-    rng = stage_seed(config.seed, STAGE_UNLEARN, 0)
-    if section.diversity == "balanced":
-        return balanced_remaining_set(
-            data, config.forget_class, section.remain_per_class, rng
-        )
     total = section.remain_per_class * (config.mixture.num_classes - 1)
     if total % section.k_nearest != 0:
         raise ConfigError(
@@ -175,6 +160,20 @@ def build_remain_set(config: RunConfig, data: LabeledDataset) -> LabeledDataset:
     return similarity_restricted_set(
         data, config.forget_class, section.k_nearest, total, rng
     )
+
+
+def build_remain_set(config: RunConfig, data: LabeledDataset) -> LabeledDataset:
+    """Select the remain subset per the configured diversification mode.
+
+    Both modes produce the same total size (remain_per_class per retained
+    class), so balanced and similarity-restricted runs compare like for like.
+    """
+    rng = stage_seed(config.seed, STAGE_UNLEARN, 0)
+    if config.unlearn.diversity == "balanced":
+        return balanced_remaining_set(
+            data, config.forget_class, config.unlearn.remain_per_class, rng
+        )
+    return _similar_remain_set(config, data, rng)
 
 
 def unlearn_from_config(
@@ -191,21 +190,9 @@ def unlearn_from_config(
     sample of the forgotten class; the remain set defaults to the configured
     diversification.
     """
-    section = config.unlearn
     if loss_cap is None:
         loss_cap = resolve_loss_cap(config, model, data, schedule)
-    base, stratify = resolve_strategy(section.strategy)
-    run_cfg = UnlearnConfig(
-        forget_weight=section.forget_weight,
-        loss_cap=loss_cap,
-        step_size=section.step_size,
-        iterations=section.iterations,
-        batch_forget=section.batch_forget,
-        batch_remain=section.batch_remain,
-        strategy=base,
-        seed=stage_seed(config.seed, STAGE_UNLEARN, 1),
-        stratify_remain=stratify or section.stratify_remain,
-    )
+    run_cfg = config.unlearn.build(loss_cap, stage_seed(config.seed, STAGE_UNLEARN, 1))
     forget_set = data.class_subset(config.forget_class)
     if remain_set is None:
         remain_set = build_remain_set(config, data)
@@ -214,13 +201,14 @@ def unlearn_from_config(
 
 
 def eval_from_config(config: RunConfig, model, spec, schedule) -> EvalReport:
-    eval_cfg = EvalConfig(
-        n_per_condition=config.eval.n_per_condition,
-        none_threshold=config.eval.none_threshold,
-        bandwidth=config.eval.bandwidth,
-        seed=stage_seed(config.seed, STAGE_EVAL),
+    return full_eval(
+        model,
+        config.forget_class,
+        spec,
+        schedule,
+        config.eval,
+        stage_seed(config.seed, STAGE_EVAL),
     )
-    return full_eval(model, config.forget_class, spec, schedule, eval_cfg)
 
 
 def _tail_mean(values, fraction=0.1) -> float:
@@ -335,19 +323,10 @@ def run_diversity_ablation(config: RunConfig, model, data: LabeledDataset, spec,
     Both cases use identical total size, unlearning seed, and evaluation
     seed, so the summary deltas (case 2 minus case 1) isolate composition.
     """
-    section = config.unlearn
-    total = section.remain_per_class * (config.mixture.num_classes - 1)
-    if total % section.k_nearest != 0:
-        raise ConfigError(
-            f"remain set size {total} is not divisible by k_nearest "
-            f"{section.k_nearest}"
-        )
     select_rng = stage_seed(config.seed, STAGE_UNLEARN, 0)
-    similar = similarity_restricted_set(
-        data, config.forget_class, section.k_nearest, total, select_rng
-    )
+    similar = _similar_remain_set(config, data, select_rng)
     balanced = balanced_remaining_set(
-        data, config.forget_class, section.remain_per_class, select_rng
+        data, config.forget_class, config.unlearn.remain_per_class, select_rng
     )
     cases = [
         (1, "similar", similar),

@@ -322,33 +322,3 @@ def squared_error_backward(
     )
     return per_sample, grad
 
-
-def mlp_backward(model: NoisePredictor, batch, targets, t, class_ids):
-    """Mean squared-error loss over the batch and its analytic gradient.
-
-    The loss is mean_i ||forward(batch_i) - targets_i||^2. The returned
-    gradient is aligned index-for-index with ``model.params`` and matches
-    central finite differences to ~1e-5 relative at h = 1e-5.
-    """
-    per_sample, grad = squared_error_backward(model, batch, targets, t, class_ids)
-    return float(per_sample.mean()), grad
-
-
-def finite_diff_grad(loss_fn, params: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient oracle.
-
-    Entry i is (loss_fn(params + h e_i) - loss_fn(params - h e_i)) / (2 h).
-    ``loss_fn`` must be a pure function of the parameter vector.
-    """
-    if h <= 0:
-        raise DomainError("finite-difference step h must be positive")
-    params = np.asarray(params, dtype=np.float64).reshape(-1)
-    grad = np.empty(params.size)
-    for i in range(params.size):
-        bumped = params.copy()
-        bumped[i] = params[i] + h
-        up = loss_fn(bumped)
-        bumped[i] = params[i] - h
-        down = loss_fn(bumped)
-        grad[i] = (up - down) / (2.0 * h)
-    return grad

@@ -45,7 +45,12 @@ def project_away(g, onto) -> np.ndarray:
     """Component of ``g`` orthogonal to ``onto``.
 
     Returns g - ((g . onto) / ||onto||^2) * onto. The result is invariant to
-    positive rescaling of ``onto``.
+    positive rescaling of ``onto``. When ``g`` is nearly parallel to
+    ``onto``, cancellation leaves a residual that is no longer orthogonal.
+    A residual shorter than half of ``g`` is therefore projected once more;
+    if that pass halves it again, the residual is rounding noise, ``g`` lies
+    along ``onto``, and the result is zero (Kahan and Parlett's "twice is
+    enough").
 
     Raises:
         DegenerateGradientError: ``onto`` is the zero vector.
@@ -58,7 +63,13 @@ def project_away(g, onto) -> np.ndarray:
     norm_sq = float(onto @ onto)
     if norm_sq == 0.0:
         raise DegenerateGradientError("cannot project away from a zero vector")
-    return g - (float(g @ onto) / norm_sq) * onto
+    out = g - (float(g @ onto) / norm_sq) * onto
+    if float(out @ out) < 0.25 * float(g @ g):
+        again = out - (float(out @ onto) / norm_sq) * onto
+        if float(again @ again) < 0.25 * float(out @ out):
+            return np.zeros_like(g)
+        out = again
+    return out
 
 
 def restricted_gradient(grad_f, grad_r) -> RestrictedUpdate:

@@ -21,11 +21,3 @@ def as_generator(rng) -> tuple[np.random.Generator, int | None]:
     seed = int(rng)
     return np.random.default_rng(seed), seed
 
-
-def stage_generator(master_seed: int, stage_id: int) -> np.random.Generator:
-    """Independent stream for one pipeline stage of a master-seeded run.
-
-    Streams for distinct stage ids never collide, and adding stages never
-    perturbs earlier ones.
-    """
-    return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(stage_id))))

@@ -23,14 +23,12 @@ class TrainConfig:
         lr: Initial step size.
         lr_final: Step size at the last update, reached by linear decay;
             None keeps lr constant.
-        seed: Stream for minibatch and corruption draws.
     """
 
     steps: int = 30_000
     batch_size: int = 128
     lr: float = 0.05
     lr_final: float | None = 0.005
-    seed: int = 0
 
     def __post_init__(self):
         if self.steps < 0:
@@ -46,16 +44,17 @@ def pretrain(
     data: LabeledDataset,
     schedule: NoiseSchedule,
     config: TrainConfig,
-    rng=None,
+    rng,
 ):
     """SGD on the class-conditional denoising loss.
 
+    ``rng`` (seed or Generator) drives the minibatch and corruption draws.
     Returns (trained_model, loss_history). A non-finite loss aborts with
     TrainingDiverged rather than silently corrupting the parameters.
     """
     if len(data) == 0:
         raise DomainError("training set is empty")
-    gen, _ = as_generator(config.seed if rng is None else rng)
+    gen, _ = as_generator(rng)
     lr_final = config.lr if config.lr_final is None else config.lr_final
     history = []
     for step in range(config.steps):

@@ -9,6 +9,9 @@ strategies exist:
 * ``graddiff``: the raw gradient sum (no conflict handling),
 * ``finetune``: the remaining gradient alone (the forgetting signal ignored).
 
+Any of the three may carry a ``+diverse`` suffix, which draws remain
+minibatches with equal per-class counts instead of uniformly.
+
 All strategies evaluate both losses in the same order every step, so runs
 that share a seed consume identical random streams and differ only in the
 applied update.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .diffusion import NoiseSchedule, diffusion_loss, draw_corruption
-from .errors import DegenerateGradientError, DomainError
+from .errors import DegenerateGradientError, DomainError, TrainingDiverged
 from .nn import NoisePredictor, backward_from_activations, forward_activations
 from .projection import restricted_gradient
 from .rngs import as_generator
@@ -33,6 +37,23 @@ from .rngs import as_generator
 log = logging.getLogger(__name__)
 
 STRATEGIES = ("restricted", "graddiff", "finetune")
+DIVERSE = "+diverse"
+
+
+def parse_strategy(label: str) -> tuple[str, bool]:
+    """Split a strategy label into (update rule, stratified remain batches).
+
+    Raises:
+        DomainError: the label names no known update rule.
+    """
+    base = label.removesuffix(DIVERSE)
+    if base not in STRATEGIES:
+        raise DomainError(
+            f"strategy must be one of {STRATEGIES}, optionally with "
+            f"{DIVERSE!r}, got {label!r}"
+        )
+    return base, base != label
+
 
 TRAJECTORY_COLUMNS = (
     "iteration",
@@ -58,10 +79,9 @@ class UnlearnConfig:
         iterations: Number of update steps, >= 1.
         batch_forget: Minibatch size drawn from the forget set each step.
         batch_remain: Minibatch size drawn from the remain set each step.
-        strategy: One of "restricted", "graddiff", "finetune".
+        strategy: One of "restricted", "graddiff", "finetune", optionally
+            with the DIVERSE suffix for class-stratified remain minibatches.
         seed: Seed for minibatch draws and loss corruption noise.
-        stratify_remain: Draw remain minibatches with equal per-class counts
-            instead of uniformly over the pooled set.
     """
 
     forget_weight: float = 5.0
@@ -72,7 +92,6 @@ class UnlearnConfig:
     batch_remain: int = 64
     strategy: str = "restricted"
     seed: int = 0
-    stratify_remain: bool = False
 
     def __post_init__(self):
         if self.forget_weight < 0.0:
@@ -85,10 +104,7 @@ class UnlearnConfig:
             raise DomainError("iterations must be >= 1")
         if self.batch_forget < 1 or self.batch_remain < 1:
             raise DomainError("batch sizes must be >= 1")
-        if self.strategy not in STRATEGIES:
-            raise DomainError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
+        parse_strategy(self.strategy)
 
 
 @dataclass(frozen=True)
@@ -190,9 +206,10 @@ def unlearn_step(
     dot = float(grad_f @ grad_r)
     conflicted = dot < 0.0
 
-    if config.strategy == "finetune":
+    rule, _ = parse_strategy(config.strategy)
+    if rule == "finetune":
         direction = grad_r
-    elif config.strategy == "graddiff":
+    elif rule == "graddiff":
         direction = grad_f + grad_r
     else:
         try:
@@ -251,14 +268,18 @@ def unlearn_run(
 
     Returns:
         (final_model, reports) with one StepReport per iteration.
+
+    Raises:
+        TrainingDiverged: a step produced a non-finite loss or parameter.
     """
     if len(forget_set) == 0 or len(remain_set) == 0:
         raise DomainError("forget and remain sets must be nonempty")
     gen, _ = as_generator(config.seed if rng is None else rng)
+    _, stratify = parse_strategy(config.strategy)
     reports = []
     for iteration in range(config.iterations):
         f_idx = gen.integers(0, len(forget_set), size=config.batch_forget)
-        if config.stratify_remain:
+        if stratify:
             r_idx = _stratified_indices(remain_set.labels, config.batch_remain, gen)
         else:
             r_idx = gen.integers(0, len(remain_set), size=config.batch_remain)
@@ -271,6 +292,12 @@ def unlearn_run(
             gen,
             iteration=iteration,
         )
+        if not (
+            math.isfinite(report.loss_f)
+            and math.isfinite(report.loss_r)
+            and np.isfinite(model.params).all()
+        ):
+            raise TrainingDiverged(f"unlearning diverged at iteration {iteration}")
         reports.append(report)
     return model, reports
 

@@ -67,7 +67,8 @@ def toy3():
         model,
         data,
         schedule,
-        TrainConfig(steps=6000, batch_size=96, lr=0.1, lr_final=0.01, seed=2),
+        TrainConfig(steps=6000, batch_size=96, lr=0.1, lr_final=0.01),
+        2,
     )
     return SimpleNamespace(
         spec=spec, data=data, schedule=schedule, model=model, history=history

@@ -26,9 +26,10 @@ from diffunlearn.checkpoint import load_checkpoint, save_checkpoint
 from diffunlearn.cli import main
 from diffunlearn.config import config_from_dict, default_config_dict
 from diffunlearn.data import balanced_remaining_set, similarity_restricted_set
-from diffunlearn.nn import finite_diff_grad, init_model, mlp_backward
+from diffunlearn.nn import init_model, squared_error_backward
 from diffunlearn.projection import project_away, restricted_gradient
 from diffunlearn.prompts import PromptTemplateSpec, gen_prompt_pairs, render_pair
+from gradcheck import finite_diff_grad, mean_squared_error
 
 RUN_SEEDS = (101, 102, 103)
 
@@ -202,11 +203,10 @@ def test_network_gradients_match_finite_differences():
         targets = rng.standard_normal((batch, model.input_dim))
         t = rng.integers(1, model.num_timesteps + 1, size=batch)
         c = rng.integers(0, model.num_classes, size=batch)
-        _, grad = mlp_backward(model, x, targets, t, c)
+        _, grad = squared_error_backward(model, x, targets, t, c)
 
         def loss_fn(p, model=model, x=x, targets=targets, t=t, c=c):
-            loss, _ = mlp_backward(model.with_params(p), x, targets, t, c)
-            return loss
+            return mean_squared_error(model.with_params(p), x, targets, t, c)
 
         fd = finite_diff_grad(loss_fn, model.params, h=1e-5)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)

@@ -107,6 +107,21 @@ def test_missing_section_rejected(tmp_path, small_model, schedule):
             load_checkpoint(path)
 
 
+def test_non_finite_params_rejected(tmp_path, small_model, schedule):
+    path = tmp_path / "ck.json"
+    params = small_model.params.copy()
+    params[3] = np.nan
+    with pytest.raises(ValueError):
+        save_checkpoint(path, small_model.with_params(params), schedule, 1e-4, 0.1)
+    save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
+    doc = json.loads(path.read_text())
+    doc["params"][3] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load_checkpoint(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="not found"):
         load_checkpoint(tmp_path / "absent.json")

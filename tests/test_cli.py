@@ -220,6 +220,30 @@ def test_gen_prompts(tmp_path, cfg_path):
     assert set(record) >= {"id", "split", "forget_prompt", "remain_prompt"}
 
 
+def test_gen_prompts_default_count(tmp_path):
+    # The default count must fit the default template's 8 test combinations.
+    rc = main(["gen-prompts", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len((tmp_path / "o" / "prompts.jsonl").read_text().splitlines()) == 16
+
+
+def test_diverse_suffix_accepted_on_every_strategy_flag(trained, cfg_path):
+    out = trained
+    rc = main(
+        [
+            "unlearn",
+            "--config",
+            str(cfg_path),
+            "--out",
+            str(out),
+            "--strategy",
+            "graddiff+diverse",
+        ]
+    )
+    assert rc == 0
+    assert (out / "unlearned_graddiff+diverse.json").exists()
+
+
 def test_defaults_without_config_flag(tmp_path):
     # No --config: built-in defaults drive the run (5 classes, 1000 each).
     out = tmp_path / "runs"

@@ -7,14 +7,13 @@ import pytest
 from diffunlearn.config import (
     RunConfig,
     apply_overrides,
-    base_strategy,
     config_from_dict,
     config_hash,
     default_config_dict,
     load_config,
     stage_seed,
 )
-from diffunlearn.errors import ConfigError, DomainError
+from diffunlearn.errors import ConfigError
 
 
 def test_defaults_round_trip():
@@ -63,6 +62,7 @@ def test_scalar_type_checked():
         ({"pretrain": {"lr": -0.5}}, "pretrain"),
         ({"unlearn": {"strategy": "bogus"}}, "unlearn"),
         ({"unlearn": {"loss_cap": 0.0}}, "unlearn"),
+        ({"unlearn": {"iterations": 0}}, "unlearn"),
         ({"unlearn": {"loss_cap_percentile": 101.0}}, "unlearn"),
         ({"unlearn": {"diversity": "random"}}, "unlearn"),
         ({"eval": {"n_per_condition": 0}}, "eval"),
@@ -84,12 +84,14 @@ def test_type_mismatch_rejected_at_load():
 
 
 def test_diverse_strategy_names_accepted():
-    cfg = config_from_dict({"unlearn": {"strategy": "restricted+diverse"}})
-    assert cfg.unlearn.strategy == "restricted+diverse"
-    assert base_strategy("restricted+diverse") == "restricted"
-    assert base_strategy("graddiff") == "graddiff"
-    with pytest.raises(DomainError):
-        base_strategy("bogus+diverse")
+    for name in ("restricted+diverse", "graddiff+diverse"):
+        cfg = config_from_dict({"unlearn": {"strategy": name}})
+        assert cfg.unlearn.strategy == name
+        assert cfg.unlearn.build(1.0, 0).strategy == name
+    cfg = config_from_dict({"sweep": {"strategies": ["finetune+diverse"]}})
+    assert cfg.sweep.strategies == ("finetune+diverse",)
+    with pytest.raises(ConfigError, match="unlearn"):
+        config_from_dict({"unlearn": {"strategy": "bogus+diverse"}})
 
 
 def test_explicit_means_build_mixture():
@@ -134,7 +136,7 @@ class TestOverrides:
             [
                 "seed=7",
                 "unlearn.forget_weight=2.5",
-                "unlearn.stratify_remain=true",
+                "unlearn.iterations=3",
                 "eval.bandwidth=null",
                 "sweep.loss_caps=[0.5,1.5]",
             ],
@@ -142,7 +144,7 @@ class TestOverrides:
         cfg = config_from_dict(raw)
         assert cfg.seed == 7
         assert cfg.unlearn.forget_weight == 2.5
-        assert cfg.unlearn.stratify_remain is True
+        assert cfg.unlearn.iterations == 3
         assert cfg.eval.bandwidth is None
         assert cfg.sweep.loss_caps == (0.5, 1.5)
 

@@ -12,7 +12,8 @@ from diffunlearn.diffusion import (
     q_sample,
 )
 from diffunlearn.errors import DomainError, ShapeError
-from diffunlearn.nn import finite_diff_grad, init_model, param_count, NoisePredictor
+from diffunlearn.nn import init_model, param_count, NoisePredictor
+from gradcheck import finite_diff_grad
 
 
 class TestMakeSchedule:

@@ -5,7 +5,7 @@ import pytest
 
 from diffunlearn import evaluate as evaluate_mod
 from diffunlearn.data import MixtureSpec, circle_mixture
-from diffunlearn.diffusion import SamplerOutput, make_schedule
+from diffunlearn.diffusion import SamplerOutput, ddpm_sample, make_schedule
 from diffunlearn.errors import DomainError
 from diffunlearn.evaluate import (
     EvalConfig,
@@ -15,10 +15,7 @@ from diffunlearn.evaluate import (
     load_eval_report,
     median_bandwidth,
     mmd,
-    oracle_classify,
-    remaining_accuracy,
     save_eval_report,
-    unlearning_accuracy,
 )
 from diffunlearn.nn import init_model
 
@@ -39,27 +36,36 @@ def stub_sampler(per_class_point):
     return fake
 
 
+def classify_one(x, spec, none_threshold=4.0):
+    return int(classify_points(np.asarray(x)[None, :], spec, none_threshold)[0])
+
+
 class TestOracleClassify:
     def test_point_at_mean_gets_its_class(self):
         spec = circle_mixture()
-        assert oracle_classify(spec.means[2], spec) == 2
+        assert classify_one(spec.means[2], spec) == 2
 
     def test_far_point_is_none(self):
         spec = circle_mixture()
         far = spec.means[0] + np.array([100.0 * spec.sigma, 0.0])
-        assert oracle_classify(far, spec, none_threshold=4.0) == "none"
+        assert classify_one(far, spec, none_threshold=4.0) == -1
+
+    def test_non_finite_point_is_none(self):
+        spec = two_blob_spec()
+        points = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.0, 0.0]])
+        assert list(classify_points(points, spec, 4.0)) == [-1, -1, 0]
 
     def test_midpoint_tie_breaks_to_lower_class(self):
         spec = two_blob_spec()
         # Equidistant from both means, inside the 4-sigma radius of each.
-        assert oracle_classify(np.array([0.5, 0.0]), spec) == 0
+        assert classify_one(np.array([0.5, 0.0]), spec) == 0
 
     def test_threshold_boundary_is_inclusive(self):
         spec = two_blob_spec()
         at_limit = spec.means[1] + np.array([0.0, 4.0 * spec.sigma])
-        assert oracle_classify(at_limit, spec, none_threshold=4.0) == 1
+        assert classify_one(at_limit, spec, none_threshold=4.0) == 1
         past = spec.means[1] + np.array([0.0, 4.0 * spec.sigma + 1e-9])
-        assert oracle_classify(past, spec, none_threshold=4.0) == "none"
+        assert classify_one(past, spec, none_threshold=4.0) == -1
 
     def test_vectorized_batch_matches_scalar(self):
         spec = circle_mixture()
@@ -67,10 +73,7 @@ class TestOracleClassify:
         points = rng.standard_normal((50, 2)) * 3.0
         batch = classify_points(points, spec, 4.0)
         for x, lab in zip(points, batch):
-            single = oracle_classify(x, spec, 4.0)
-            assert (single == "none") == (lab == -1)
-            if single != "none":
-                assert single == lab
+            assert classify_one(x, spec, 4.0) == lab
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(DomainError):
@@ -78,36 +81,35 @@ class TestOracleClassify:
 
 
 class TestAccuracies:
+    """UA and RA from full_eval, with the sampler replaced by fixed points."""
+
     def spec(self):
         return circle_mixture(num_classes=3, radius=4.0, sigma=0.3,
                               samples_per_class=10)
 
+    def report(self, monkeypatch, spec, table, n=30):
+        monkeypatch.setattr(evaluate_mod, "ddpm_sample", stub_sampler(table))
+        return full_eval(None, 0, spec, None, EvalConfig(n_per_condition=n), 1)
+
     def test_ua_zero_when_generator_still_emits_class(self, monkeypatch):
         spec = self.spec()
-        monkeypatch.setattr(
-            evaluate_mod, "ddpm_sample", stub_sampler({0: spec.means[0]})
-        )
-        ua = unlearning_accuracy(None, 0, spec, None, 40, 4.0, 1)
-        assert ua == 0.0
+        table = {k: spec.means[k] for k in range(3)}
+        assert self.report(monkeypatch, spec, table, n=40).ua == 0.0
 
     def test_ua_one_when_nothing_maps_back(self, monkeypatch):
         spec = self.spec()
-        monkeypatch.setattr(
-            evaluate_mod, "ddpm_sample", stub_sampler({0: [100.0, 100.0]})
-        )
-        assert unlearning_accuracy(None, 0, spec, None, 40, 4.0, 1) == 1.0
+        table = {0: [100.0, 100.0], 1: spec.means[1], 2: spec.means[2]}
+        assert self.report(monkeypatch, spec, table, n=40).ua == 1.0
 
     def test_ra_one_for_oracle_perfect_generator(self, monkeypatch):
         spec = self.spec()
         table = {k: spec.means[k] for k in range(3)}
-        monkeypatch.setattr(evaluate_mod, "ddpm_sample", stub_sampler(table))
-        assert remaining_accuracy(None, 0, spec, None, 30, 4.0, 1) == 1.0
+        assert self.report(monkeypatch, spec, table).ra == 1.0
 
     def test_ra_zero_for_none_region_generator(self, monkeypatch):
         spec = self.spec()
         table = {k: [50.0, -50.0] for k in range(3)}
-        monkeypatch.setattr(evaluate_mod, "ddpm_sample", stub_sampler(table))
-        assert remaining_accuracy(None, 0, spec, None, 30, 4.0, 1) == 0.0
+        assert self.report(monkeypatch, spec, table).ra == 0.0
 
 
 class TestMmd:
@@ -198,7 +200,7 @@ class TestFullEval:
     def test_pretrained_model_scores_cleanly(self, toy3):
         report = full_eval(
             toy3.model, 0, toy3.spec, toy3.schedule,
-            EvalConfig(n_per_condition=400, seed=3),
+            EvalConfig(n_per_condition=400), 3,
         )
         assert report.ua <= 0.1
         assert report.ra >= 0.9
@@ -208,7 +210,7 @@ class TestFullEval:
         rand = init_model(2, (48, 48), 3, 40, np.random.default_rng(9))
         report = full_eval(
             rand, 0, toy3.spec, toy3.schedule,
-            EvalConfig(n_per_condition=400, seed=3),
+            EvalConfig(n_per_condition=400), 3,
         )
         # Null calibration at this budget sits within +/-0.01.
         assert report.mmd >= 0.1
@@ -217,7 +219,7 @@ class TestFullEval:
         n = 150
         report = full_eval(
             toy3.model, 1, toy3.spec, toy3.schedule,
-            EvalConfig(n_per_condition=n, seed=4),
+            EvalConfig(n_per_condition=n), 4,
         )
         assert sum(report.per_class_counts.values()) == n * toy3.spec.num_classes
         assert set(report.per_class_counts) == {"0", "1", "2", "none"}
@@ -225,32 +227,32 @@ class TestFullEval:
 
     def test_ua_complement_identity(self, toy3):
         # ua + fraction-classified-as-forget = 1 exactly: reconstruct the
-        # forget fraction from the dedicated sampler path.
+        # forget fraction from the first draw of the same stream.
         n = 120
-        config = EvalConfig(n_per_condition=n, seed=11)
-        report = full_eval(toy3.model, 2, toy3.spec, toy3.schedule, config)
-        ua_direct = unlearning_accuracy(
-            toy3.model, 2, toy3.spec, toy3.schedule, n,
-            config.none_threshold, np.random.default_rng(config.seed),
+        config = EvalConfig(n_per_condition=n)
+        report = full_eval(toy3.model, 2, toy3.spec, toy3.schedule, config, 11)
+        out = ddpm_sample(
+            toy3.model, 2, n, toy3.schedule, np.random.default_rng(11)
         )
-        assert report.ua == ua_direct
+        labels = classify_points(out.samples, toy3.spec, config.none_threshold)
+        assert report.ua == 1.0 - np.mean(labels == 2)
         assert 0.0 <= report.ua <= 1.0
         assert 0.0 <= report.ra <= 1.0
 
     def test_deterministic_per_seed(self, toy3):
-        config = EvalConfig(n_per_condition=100, seed=21)
-        a = full_eval(toy3.model, 0, toy3.spec, toy3.schedule, config)
-        b = full_eval(toy3.model, 0, toy3.spec, toy3.schedule, config)
+        config = EvalConfig(n_per_condition=100)
+        a = full_eval(toy3.model, 0, toy3.spec, toy3.schedule, config, 21)
+        b = full_eval(toy3.model, 0, toy3.spec, toy3.schedule, config, 21)
         assert a == b
 
     def test_invalid_forget_class_rejected(self, toy3):
         with pytest.raises(DomainError):
-            full_eval(toy3.model, 3, toy3.spec, toy3.schedule, EvalConfig())
+            full_eval(toy3.model, 3, toy3.spec, toy3.schedule, EvalConfig(), 0)
 
     def test_report_json_roundtrip(self, tmp_path, toy3):
         report = full_eval(
             toy3.model, 0, toy3.spec, toy3.schedule,
-            EvalConfig(n_per_condition=50, seed=1),
+            EvalConfig(n_per_condition=50), 1,
         )
         path = tmp_path / "report.json"
         save_eval_report(report, path)

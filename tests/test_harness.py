@@ -5,6 +5,8 @@ orchestration (grids, grouping, failure isolation, determinism), not
 unlearning quality, which the acceptance suite measures at full scale.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,14 +55,6 @@ def tiny_run():
     return config, spec, data, schedule, model
 
 
-def test_resolve_strategy():
-    assert harness.resolve_strategy("restricted") == ("restricted", False)
-    assert harness.resolve_strategy("graddiff") == ("graddiff", False)
-    assert harness.resolve_strategy("restricted+diverse") == ("restricted", True)
-    with pytest.raises(DomainError):
-        harness.resolve_strategy("momentum")
-
-
 def test_build_dataset_deterministic(tiny_run):
     config, spec, data, *_ = tiny_run
     _, again = harness.build_dataset(config)
@@ -79,8 +73,6 @@ def test_remain_set_balanced(tiny_run):
 
 def test_remain_set_similar(tiny_run):
     config, _, data, *_ = tiny_run
-    import dataclasses
-
     similar_cfg = dataclasses.replace(
         config,
         unlearn=dataclasses.replace(config.unlearn, diversity="similar"),
@@ -92,8 +84,6 @@ def test_remain_set_similar(tiny_run):
 
 def test_remain_set_divisibility_checked(tiny_run):
     config, _, data, *_ = tiny_run
-    import dataclasses
-
     bad = dataclasses.replace(
         config,
         unlearn=dataclasses.replace(
@@ -138,8 +128,6 @@ class TestSweep:
 
     def test_explicit_caps_override_scales(self, tiny_run):
         config, *_ = tiny_run
-        import dataclasses
-
         cfg = dataclasses.replace(
             config,
             sweep=dataclasses.replace(config.sweep, loss_caps=(0.7, 1.3)),
@@ -193,6 +181,21 @@ class TestSweep:
             assert entry["n_cells"] == expected
             if expected == 0:
                 assert entry["ra_variance"] == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_cell_recorded_as_failed(self, tiny_run):
+        # Overflow on the way to the abort is the point of this test.
+        config, spec, data, schedule, model = tiny_run
+        cfg = dataclasses.replace(
+            config,
+            unlearn=dataclasses.replace(config.unlearn, step_size=1e100),
+            sweep=dataclasses.replace(
+                config.sweep, forget_weights=(5.0,), strategies=("graddiff",)
+            ),
+        )
+        rows, _ = harness.run_sweep(cfg, model, data, spec, schedule)
+        assert [r["status"] for r in rows] == ["failed", "failed"]
+        assert all(r["error"].startswith("TrainingDiverged") for r in rows)
 
 
 @pytest.fixture(scope="module")

@@ -8,13 +8,12 @@ import pytest
 from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import (
     NoisePredictor,
-    finite_diff_grad,
     init_model,
-    mlp_backward,
     mlp_forward,
     param_count,
     squared_error_backward,
 )
+from gradcheck import finite_diff_grad, mean_squared_error
 
 
 def tiny_model():
@@ -178,10 +177,10 @@ class TestBackward:
         targets = np.array([[0.0], [1.0]])
         t = np.array([2, 3])
         c = np.array([1, 0])
-        loss, _ = mlp_backward(model, x, targets, t, c)
+        per_sample, _ = squared_error_backward(model, x, targets, t, c)
         out = mlp_forward(model, x, t, c)
         expected = float(np.mean(np.sum((out - targets) ** 2, axis=1)))
-        assert loss == pytest.approx(expected, rel=1e-15)
+        assert float(per_sample.mean()) == pytest.approx(expected, rel=1e-15)
 
     def test_gradient_matches_finite_differences_tiny(self):
         model = tiny_model()
@@ -189,11 +188,10 @@ class TestBackward:
         targets = np.array([[0.2], [-0.4], [0.9]])
         t = np.array([2, 3, 1])
         c = np.array([1, 0, 0])
-        _, grad = mlp_backward(model, x, targets, t, c)
+        _, grad = squared_error_backward(model, x, targets, t, c)
 
         def loss_fn(p):
-            loss, _ = mlp_backward(model.with_params(p), x, targets, t, c)
-            return loss
+            return mean_squared_error(model.with_params(p), x, targets, t, c)
 
         fd = finite_diff_grad(loss_fn, model.params, h=1e-5)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
@@ -210,11 +208,10 @@ class TestBackward:
             targets = rng.standard_normal((batch, model.input_dim))
             t = rng.integers(1, model.num_timesteps + 1, size=batch)
             c = rng.integers(0, model.num_classes, size=batch)
-            _, grad = mlp_backward(model, x, targets, t, c)
+            _, grad = squared_error_backward(model, x, targets, t, c)
 
             def loss_fn(p, model=model, x=x, targets=targets, t=t, c=c):
-                loss, _ = mlp_backward(model.with_params(p), x, targets, t, c)
-                return loss
+                return mean_squared_error(model.with_params(p), x, targets, t, c)
 
             fd = finite_diff_grad(loss_fn, model.params, h=1e-5)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
@@ -225,8 +222,12 @@ class TestBackward:
         model = tiny_model()
         x = np.array([[0.5], [0.5]])
         targets = np.zeros((2, 1))
-        _, g_both = mlp_backward(model, x, targets, np.array([2, 2]), np.array([0, 0]))
-        _, g_one = mlp_backward(model, x[:1], targets[:1], np.array([2]), np.array([0]))
+        _, g_both = squared_error_backward(
+            model, x, targets, np.array([2, 2]), np.array([0, 0])
+        )
+        _, g_one = squared_error_backward(
+            model, x[:1], targets[:1], np.array([2]), np.array([0])
+        )
         # Mean over two identical samples equals the single-sample gradient.
         np.testing.assert_allclose(g_both, g_one, rtol=1e-12)
 
@@ -258,9 +259,9 @@ class TestBackward:
         targets = rng.standard_normal((6, model.input_dim))
         t = rng.integers(1, model.num_timesteps + 1, size=6)
         c = rng.integers(0, model.num_classes, size=6)
-        l1, g1 = mlp_backward(model, x, targets, t, c)
-        l2, g2 = mlp_backward(model, x, targets, t, c)
-        assert l1 == l2
+        l1, g1 = squared_error_backward(model, x, targets, t, c)
+        l2, g2 = squared_error_backward(model, x, targets, t, c)
+        assert np.array_equal(l1, l2)
         assert np.array_equal(g1, g2)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diffunlearn.errors import DegenerateGradientError, ShapeError
@@ -67,6 +67,8 @@ class TestProjectAway:
             )
 
     @given(vector_pairs())
+    # Nearly parallel inputs: a single pass cancels to |out . onto| = 8.4e-16.
+    @example((np.array([3.0, 0.0]), np.array([3.0, 1.19e-7])))
     @settings(deadline=None)
     def test_result_orthogonal_to_direction(self, pair):
         g, onto = pair
@@ -170,6 +172,9 @@ class TestRestrictedGradient:
         )
 
     @given(vector_pairs())
+    # Exactly anti-parallel: both true components are zero, and a rounding
+    # residual left in either one points against a raw gradient.
+    @example((np.array([0.0, -1.8229287220541721]), np.array([0.0, 1.0])))
     @settings(deadline=None)
     def test_first_order_improvement_both_objectives(self, pair):
         # The combined direction has nonnegative inner product with both raw

@@ -39,7 +39,7 @@ class TestTrainConfig:
 class TestPretrain:
     def test_zero_steps_returns_model_unchanged(self):
         data, sched, model = small_setup()
-        trained, history = pretrain(model, data, sched, TrainConfig(steps=0))
+        trained, history = pretrain(model, data, sched, TrainConfig(steps=0), 0)
         assert np.array_equal(trained.params, model.params)
         assert history == []
 
@@ -49,9 +49,9 @@ class TestPretrain:
 
     def test_deterministic_per_seed(self):
         data, sched, model = small_setup()
-        cfg = TrainConfig(steps=50, batch_size=32, lr=0.05, lr_final=0.05, seed=3)
-        a, _ = pretrain(model, data, sched, cfg)
-        b, _ = pretrain(model, data, sched, cfg)
+        cfg = TrainConfig(steps=50, batch_size=32, lr=0.05, lr_final=0.05)
+        a, _ = pretrain(model, data, sched, cfg, 3)
+        b, _ = pretrain(model, data, sched, cfg, 3)
         assert np.array_equal(a.params, b.params)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -62,6 +62,7 @@ class TestPretrain:
             pretrain(
                 model, data, sched,
                 TrainConfig(steps=200, batch_size=16, lr=1e6, lr_final=1e6),
+                0,
             )
 
     def test_empty_dataset_rejected(self):
@@ -70,7 +71,7 @@ class TestPretrain:
         data, sched, model = small_setup()
         empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
         with pytest.raises(DomainError):
-            pretrain(model, empty, sched, TrainConfig(steps=1))
+            pretrain(model, empty, sched, TrainConfig(steps=1), 0)
 
 
 class TestLossCap:

@@ -11,7 +11,6 @@ from diffunlearn.diffusion import diffusion_loss, make_schedule
 from diffunlearn.errors import DomainError
 from diffunlearn.nn import (
     NoisePredictor,
-    finite_diff_grad,
     init_model,
     param_count,
     squared_error_backward,
@@ -22,11 +21,13 @@ from diffunlearn.unlearn import (
     UnlearnConfig,
     _stratified_indices,
     forgetting_loss,
+    parse_strategy,
     read_trajectory_csv,
     unlearn_run,
     unlearn_step,
     write_trajectory_csv,
 )
+from gradcheck import finite_diff_grad
 
 
 def zero_model(num_classes=2, num_timesteps=4):
@@ -66,6 +67,19 @@ class TestUnlearnConfig:
             UnlearnConfig(batch_remain=0)
         with pytest.raises(DomainError):
             UnlearnConfig(strategy="momentum")
+        with pytest.raises(DomainError):
+            UnlearnConfig(strategy="momentum+diverse")
+
+
+def test_parse_strategy():
+    assert parse_strategy("restricted") == ("restricted", False)
+    assert parse_strategy("graddiff") == ("graddiff", False)
+    assert parse_strategy("restricted+diverse") == ("restricted", True)
+    assert parse_strategy("finetune+diverse") == ("finetune", True)
+    with pytest.raises(DomainError):
+        parse_strategy("momentum")
+    with pytest.raises(DomainError):
+        parse_strategy("+diverse")
 
 
 class TestForgettingLoss:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .diffusion import NoiseSchedule, make_schedule
 from .errors import CheckpointError
 from .nn import NoisePredictor
@@ -56,9 +57,7 @@ def checkpoint_dict(
 
 def save_checkpoint(path, model, schedule, beta_min, beta_max, **provenance) -> None:
     doc = checkpoint_dict(model, schedule, beta_min, beta_max, **provenance)
-    # allow_nan=False: a non-finite parameter raises instead of writing a
-    # NaN token, which is not JSON.
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    artifacts.write_json(path, doc, indent=1)
 
 
 def load_checkpoint(path):

@@ -9,13 +9,12 @@ artifacts, byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import artifacts, harness
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     STAGE_PROMPTS,
@@ -41,11 +40,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", type=Path, default=None, help="JSON config file")
-    sub.add_argument("--seed", type=int, default=None, help="override master seed")
-    sub.add_argument("--out", type=Path, default=Path("runs"), help="output directory")
-    sub.add_argument(
+def build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="JSON config file")
+    common.add_argument("--seed", type=int, default=None, help="override master seed")
+    common.add_argument(
+        "--out", type=Path, default=Path("runs"), help="output directory"
+    )
+    common.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -53,49 +55,38 @@ def _add_common(sub):
         metavar="KEY.PATH=VALUE",
         help="dotted-path config override, value parsed as JSON when possible",
     )
+    from_checkpoint = argparse.ArgumentParser(add_help=False)
+    from_checkpoint.add_argument("--forget-class", type=int, default=None)
+    from_checkpoint.add_argument("--checkpoint", type=Path, default=None)
 
-
-def build_parser() -> _Parser:
     parser = _Parser(prog="diffunlearn", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("gen-data", help="sample the mixture dataset")
-    _add_common(p)
+    def add(name, func, summary, *parents):
+        sub = subs.add_parser(name, help=summary, parents=[common, *parents])
+        sub.set_defaults(func=func)
+        return sub
 
-    p = subs.add_parser("train", help="pretrain the conditional denoiser")
-    _add_common(p)
-
-    p = subs.add_parser("unlearn", help="unlearn one class from a checkpoint")
-    _add_common(p)
-    p.add_argument(
-        "--strategy",
-        choices=[s + d for s in STRATEGIES for d in ("", DIVERSE)],
-        default=None,
+    add("gen-data", cmd_gen_data, "sample the mixture dataset")
+    add("train", cmd_train, "pretrain the conditional denoiser")
+    add(
+        "unlearn", cmd_unlearn, "unlearn one class from a checkpoint", from_checkpoint
+    ).add_argument(
+        "--strategy", choices=[s + d for s in STRATEGIES for d in ("", DIVERSE)]
     )
-    p.add_argument("--forget-class", type=int, default=None)
-    p.add_argument("--checkpoint", type=Path, default=None)
-
-    p = subs.add_parser("eval", help="score a checkpoint (UA, RA, MMD)")
-    _add_common(p)
-    p.add_argument("--forget-class", type=int, default=None)
-    p.add_argument("--checkpoint", type=Path, default=None)
-
-    p = subs.add_parser("sweep", help="grid over forget weight, loss cap, strategy")
-    _add_common(p)
-    p.add_argument("--forget-class", type=int, default=None)
-    p.add_argument("--checkpoint", type=Path, default=None)
-
-    p = subs.add_parser(
+    add("eval", cmd_eval, "score a checkpoint (UA, RA, MMD)", from_checkpoint)
+    add(
+        "sweep", cmd_sweep, "grid over forget weight, loss cap, strategy", from_checkpoint
+    )
+    add(
         "diversity-ablation",
-        help="similar-only vs balanced remain sets across strategies",
+        cmd_diversity_ablation,
+        "similar-only vs balanced remain sets across strategies",
+        from_checkpoint,
     )
-    _add_common(p)
-    p.add_argument("--forget-class", type=int, default=None)
-    p.add_argument("--checkpoint", type=Path, default=None)
-
-    p = subs.add_parser("gen-prompts", help="emit forget/remain prompt pairs")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=8, help="pairs per split")
+    add("gen-prompts", cmd_gen_prompts, "emit forget/remain prompt pairs").add_argument(
+        "--count", type=int, default=8, help="pairs per split"
+    )
     return parser
 
 
@@ -123,15 +114,11 @@ def resolve_config(args):
     return raw, config_from_dict(raw)
 
 
-def _out_path(args, config, kind: str, name: str) -> Path:
-    sub = {
-        "data": config.paths.data_dir,
-        "checkpoint": config.paths.checkpoint_dir,
-        "report": config.paths.report_dir,
-    }[kind]
-    path = Path(args.out) / sub / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+def _write(args, directory: str, name: str, save, *payload) -> None:
+    """save(*payload, path) at --out/directory/name, then report the path."""
+    path = Path(args.out) / directory / name
+    save(*payload, path)
+    print(f"wrote {path}")
 
 
 def _checkpoint_path(args, config) -> Path:
@@ -140,68 +127,69 @@ def _checkpoint_path(args, config) -> Path:
     return Path(args.out) / config.paths.checkpoint_dir / "pretrained.json"
 
 
-def _load_model(args, config):
-    model, schedule, provenance = load_checkpoint(_checkpoint_path(args, config))
-    return model, schedule, provenance
+def _save_checkpoint(args, raw, config, name, model, schedule, iterations) -> None:
+    """A checkpoint with this run's provenance, for train and unlearn alike."""
+    s = config.schedule
+
+    def save(path):
+        save_checkpoint(
+            path,
+            model,
+            schedule,
+            s.beta_min,
+            s.beta_max,
+            config_hash=config_hash(raw),
+            seed=config.seed,
+            iterations=iterations,
+        )
+
+    _write(args, config.paths.checkpoint_dir, name, save)
 
 
-def _wrote(path: Path) -> None:
-    print(f"wrote {path}")
+def _write_table(args, config, name, columns, rows) -> None:
+    _write(
+        args,
+        config.paths.report_dir,
+        name,
+        lambda p: artifacts.write_rows_csv(p, columns, rows),
+    )
 
 
-def cmd_gen_data(args) -> int:
-    raw, config = resolve_config(args)
+def cmd_gen_data(args, raw, config) -> int:
     spec, data = harness.build_dataset(config)
-    path = _out_path(args, config, "data", "dataset.jsonl")
-    save_dataset(data, path)
-    _wrote(path)
+    _write(args, config.paths.data_dir, "dataset.jsonl", save_dataset, data)
     print(f"classes={spec.num_classes} samples={len(data)}")
     return 0
 
 
-def cmd_train(args) -> int:
-    raw, config = resolve_config(args)
+def cmd_train(args, raw, config) -> int:
     spec, data = harness.build_dataset(config)
     model, history = harness.pretrain_from_config(config, data, spec)
     schedule = harness.build_schedule(config)
-    path = _out_path(args, config, "checkpoint", "pretrained.json")
-    save_checkpoint(
-        path,
-        model,
-        schedule,
-        config.schedule.beta_min,
-        config.schedule.beta_max,
-        config_hash=config_hash(raw),
-        seed=config.seed,
-        iterations=config.pretrain.steps,
+    _save_checkpoint(
+        args, raw, config, "pretrained.json", model, schedule, config.pretrain.steps
     )
-    _wrote(path)
     final = history[-1] if history else float("nan")
     print(f"steps={config.pretrain.steps} final_loss={final:.6g}")
     return 0
 
 
-def cmd_unlearn(args) -> int:
-    raw, config = resolve_config(args)
-    model, schedule, _ = _load_model(args, config)
+def cmd_unlearn(args, raw, config) -> int:
+    model, schedule, _ = load_checkpoint(_checkpoint_path(args, config))
     spec, data = harness.build_dataset(config)
     final, reports, run_cfg = harness.unlearn_from_config(config, model, data, schedule)
     tag = config.unlearn.strategy
-    ckpt = _out_path(args, config, "checkpoint", f"unlearned_{tag}.json")
-    save_checkpoint(
-        ckpt,
+    _save_checkpoint(
+        args,
+        raw,
+        config,
+        f"unlearned_{tag}.json",
         final,
         schedule,
-        config.schedule.beta_min,
-        config.schedule.beta_max,
-        config_hash=config_hash(raw),
-        seed=config.seed,
-        iterations=config.unlearn.iterations,
+        config.unlearn.iterations,
     )
-    _wrote(ckpt)
-    traj = _out_path(args, config, "report", f"trajectory_{tag}.csv")
-    write_trajectory_csv(reports, traj)
-    _wrote(traj)
+    trajectory = f"trajectory_{tag}.csv"
+    _write(args, config.paths.report_dir, trajectory, write_trajectory_csv, reports)
     conflicted = float(np.mean([r.conflicted for r in reports])) if reports else 0.0
     print(
         f"strategy={tag} iterations={len(reports)} "
@@ -210,37 +198,37 @@ def cmd_unlearn(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    raw, config = resolve_config(args)
-    model, schedule, _ = _load_model(args, config)
-    spec = config.mixture.build()
-    report = harness.eval_from_config(config, model, spec, schedule)
-    label = _checkpoint_path(args, config).stem
-    jpath = _out_path(args, config, "report", f"eval_{label}.json")
-    save_eval_report(report, jpath)
-    _wrote(jpath)
-    cpath = _out_path(args, config, "report", f"eval_{label}.csv")
-    harness.write_rows_csv(
-        cpath,
-        harness.EVAL_COLUMNS,
-        [harness.eval_report_row(report, config.forget_class, label)],
-    )
-    _wrote(cpath)
+def cmd_eval(args, raw, config) -> int:
+    checkpoint = _checkpoint_path(args, config)
+    model, schedule, _ = load_checkpoint(checkpoint)
+    report = harness.eval_from_config(config, model, config.mixture.build(), schedule)
+    name = f"eval_{checkpoint.stem}"
+    _write(args, config.paths.report_dir, f"{name}.json", save_eval_report, report)
+    row = harness.eval_report_row(report, config.forget_class, checkpoint.stem)
+    _write_table(args, config, f"{name}.csv", harness.EVAL_COLUMNS, [row])
     print(f"ua={report.ua:.4f} ra={report.ra:.4f} mmd={report.mmd:.6g}")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    raw, config = resolve_config(args)
-    model, schedule, _ = _load_model(args, config)
+def _run_grid(args, config, run, name, columns, summary_columns):
+    """Run a grid of cells off the checkpoint and write its two tables."""
+    model, schedule, _ = load_checkpoint(_checkpoint_path(args, config))
     spec, data = harness.build_dataset(config)
-    rows, summary = harness.run_sweep(config, model, data, spec, schedule)
-    rpath = _out_path(args, config, "report", "sweep.csv")
-    harness.write_rows_csv(rpath, harness.SWEEP_COLUMNS, rows)
-    _wrote(rpath)
-    spath = _out_path(args, config, "report", "sweep_summary.csv")
-    harness.write_rows_csv(spath, harness.SWEEP_SUMMARY_COLUMNS, summary)
-    _wrote(spath)
+    rows, summary = run(config, model, data, spec, schedule)
+    _write_table(args, config, f"{name}.csv", columns, rows)
+    _write_table(args, config, f"{name}_summary.csv", summary_columns, summary)
+    return rows, summary
+
+
+def cmd_sweep(args, raw, config) -> int:
+    rows, _ = _run_grid(
+        args,
+        config,
+        harness.run_sweep,
+        "sweep",
+        harness.SWEEP_COLUMNS,
+        harness.SWEEP_SUMMARY_COLUMNS,
+    )
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"cells={len(rows)} failed={len(failed)}")
     for row in failed:
@@ -254,17 +242,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_diversity_ablation(args) -> int:
-    raw, config = resolve_config(args)
-    model, schedule, _ = _load_model(args, config)
-    spec, data = harness.build_dataset(config)
-    rows, summary = harness.run_diversity_ablation(config, model, data, spec, schedule)
-    rpath = _out_path(args, config, "report", "ablation.csv")
-    harness.write_rows_csv(rpath, harness.ABLATION_COLUMNS, rows)
-    _wrote(rpath)
-    spath = _out_path(args, config, "report", "ablation_summary.csv")
-    harness.write_rows_csv(spath, harness.ABLATION_SUMMARY_COLUMNS, summary)
-    _wrote(spath)
+def cmd_diversity_ablation(args, raw, config) -> int:
+    _, summary = _run_grid(
+        args,
+        config,
+        harness.run_diversity_ablation,
+        "ablation",
+        harness.ABLATION_COLUMNS,
+        harness.ABLATION_SUMMARY_COLUMNS,
+    )
     for entry in summary:
         print(
             f"strategy={entry['strategy']} delta_ua={entry['delta_ua']:+.4f} "
@@ -273,35 +259,19 @@ def cmd_diversity_ablation(args) -> int:
     return 0
 
 
-def cmd_gen_prompts(args) -> int:
-    raw, config = resolve_config(args)
-    spec = PromptTemplateSpec()
-    pairs = gen_prompt_pairs(
-        spec, args.count, stage_seed(config.seed, STAGE_PROMPTS)
-    )
-    path = _out_path(args, config, "report", "prompts.jsonl")
-    save_prompt_pairs(pairs, path)
-    _wrote(path)
+def cmd_gen_prompts(args, raw, config) -> int:
+    seed = stage_seed(config.seed, STAGE_PROMPTS)
+    pairs = gen_prompt_pairs(PromptTemplateSpec(), args.count, seed)
+    _write(args, config.paths.report_dir, "prompts.jsonl", save_prompt_pairs, pairs)
     print(f"pairs={len(pairs)}")
     return 0
-
-
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "unlearn": cmd_unlearn,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "diversity-ablation": cmd_diversity_ablation,
-    "gen-prompts": cmd_gen_prompts,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args, *resolve_config(args))
     except ConfigError as exc:
         print(f"{parser.prog}: config error: {exc}", file=sys.stderr)
         return 1

@@ -9,12 +9,11 @@ feature-space class similarity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import DomainError, ShapeError
 from .rngs import as_generator
 
@@ -222,23 +221,21 @@ def similarity_restricted_set(
 
 def save_dataset(data: LabeledDataset, path) -> None:
     """Write one {"x": [...], "label": int} JSON record per line."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for x, label in zip(data.points, data.labels):
-            record = {"x": [float(v) for v in x], "label": int(label)}
-            fh.write(json.dumps(record) + "\n")
+    artifacts.write_jsonl(
+        path,
+        (
+            {"x": [float(v) for v in x], "label": int(label)}
+            for x, label in zip(data.points, data.labels)
+        ),
+    )
 
 
 def load_dataset(path) -> LabeledDataset:
     """Read a dataset written by :func:`save_dataset`; floats round-trip."""
-    points, labels = [], []
-    with Path(path).open() as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            points.append(record["x"])
-            labels.append(record["label"])
-    if not points:
+    records = artifacts.read_jsonl(path)
+    if not records:
         raise DomainError(f"no records in {path}")
-    return LabeledDataset(points=np.array(points), labels=np.array(labels))
+    return LabeledDataset(
+        points=np.array([r["x"] for r in records]),
+        labels=np.array([r["label"] for r in records]),
+    )

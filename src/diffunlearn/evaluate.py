@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+from . import artifacts
 from .data import MixtureSpec
 from .diffusion import NoiseSchedule, ddpm_sample
 from .errors import DomainError
@@ -216,7 +217,7 @@ def full_eval(
 
 
 def save_eval_report(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    artifacts.write_json(path, report.to_dict(), indent=2)
 
 
 def load_eval_report(path) -> EvalReport:

@@ -8,9 +8,7 @@ across all cells: cells then differ only in the knob under study.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .data import (
     similarity_restricted_set,
 )
 from .diffusion import make_schedule
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .evaluate import EvalReport, full_eval
 from .nn import init_model
 from .rngs import as_generator
@@ -148,32 +146,44 @@ def resolve_loss_cap(config: RunConfig, model, data: LabeledDataset, schedule) -
     )
 
 
-def _similar_remain_set(config: RunConfig, data: LabeledDataset, rng) -> LabeledDataset:
-    """Remain set drawn from the k_nearest classes, sized like a balanced one."""
-    section = config.unlearn
-    total = section.remain_per_class * (config.mixture.num_classes - 1)
-    if total % section.k_nearest != 0:
-        raise ConfigError(
-            f"remain set size {total} is not divisible by k_nearest "
-            f"{section.k_nearest}"
-        )
-    return similarity_restricted_set(
-        data, config.forget_class, section.k_nearest, total, rng
-    )
-
-
 def build_remain_set(config: RunConfig, data: LabeledDataset) -> LabeledDataset:
     """Select the remain subset per the configured diversification mode.
 
-    Both modes produce the same total size (remain_per_class per retained
-    class), so balanced and similarity-restricted runs compare like for like.
+    Both modes draw remain_per_class * (K - 1) samples, so balanced and
+    similarity-restricted runs compare like for like: balanced over every
+    retained class, similar over the k_nearest classes nearest the forgotten.
+
+    Raises:
+        ConfigError: the set cannot be drawn from the configured mixture.
     """
-    rng = stage_seed(config.seed, STAGE_UNLEARN, 0)
-    if config.unlearn.diversity == "balanced":
-        return balanced_remaining_set(
-            data, config.forget_class, config.unlearn.remain_per_class, rng
+    section = config.unlearn
+    retained = config.mixture.num_classes - 1
+    total = section.remain_per_class * retained
+    per_class = section.remain_per_class
+    if section.diversity == "similar":
+        if section.k_nearest > retained:
+            raise ConfigError(
+                f"unlearn.k_nearest {section.k_nearest} exceeds the {retained} "
+                "retained classes"
+            )
+        if total % section.k_nearest != 0:
+            raise ConfigError(
+                f"remain set size {total} is not divisible by unlearn.k_nearest "
+                f"{section.k_nearest}"
+            )
+        per_class = total // section.k_nearest
+    if per_class > config.mixture.samples_per_class:
+        raise ConfigError(
+            f"unlearn.remain_per_class {section.remain_per_class} draws {per_class} "
+            f"per class, more than mixture.samples_per_class "
+            f"{config.mixture.samples_per_class}"
         )
-    return _similar_remain_set(config, data, rng)
+    rng = stage_seed(config.seed, STAGE_UNLEARN, 0)
+    if section.diversity == "balanced":
+        return balanced_remaining_set(data, config.forget_class, per_class, rng)
+    return similarity_restricted_set(
+        data, config.forget_class, section.k_nearest, total, rng
+    )
 
 
 def unlearn_from_config(
@@ -232,6 +242,13 @@ def _run_cell(config, model, data, spec, schedule, loss_cap, remain_set):
     }
 
 
+def _with_unlearn(config: RunConfig, **changes) -> RunConfig:
+    """The config with the given unlearn-section fields replaced."""
+    return dataclasses.replace(
+        config, unlearn=dataclasses.replace(config.unlearn, **changes)
+    )
+
+
 def sweep_grid(config: RunConfig, base_cap: float):
     """The (forget_weight, loss_cap, strategy) cells in fixed row order."""
     sw = config.sweep
@@ -261,14 +278,8 @@ def run_sweep(config: RunConfig, model, data: LabeledDataset, spec, schedule):
     remain_set = build_remain_set(config, data)
     rows = []
     for weight, cap, strat in sweep_grid(config, base_cap):
-        cell_cfg = dataclasses.replace(
-            config,
-            unlearn=dataclasses.replace(
-                config.unlearn,
-                forget_weight=weight,
-                loss_cap=cap,
-                strategy=strat,
-            ),
+        cell_cfg = _with_unlearn(
+            config, forget_weight=weight, loss_cap=cap, strategy=strat
         )
         row = {
             "forget_weight": weight,
@@ -323,14 +334,9 @@ def run_diversity_ablation(config: RunConfig, model, data: LabeledDataset, spec,
     Both cases use identical total size, unlearning seed, and evaluation
     seed, so the summary deltas (case 2 minus case 1) isolate composition.
     """
-    select_rng = stage_seed(config.seed, STAGE_UNLEARN, 0)
-    similar = _similar_remain_set(config, data, select_rng)
-    balanced = balanced_remaining_set(
-        data, config.forget_class, config.unlearn.remain_per_class, select_rng
-    )
     cases = [
-        (1, "similar", similar),
-        (2, "balanced", balanced),
+        (case_id, mode, build_remain_set(_with_unlearn(config, diversity=mode), data))
+        for case_id, mode in ((1, "similar"), (2, "balanced"))
     ]
     loss_cap = resolve_loss_cap(config, model, data, schedule)
     rows = []
@@ -338,10 +344,7 @@ def run_diversity_ablation(config: RunConfig, model, data: LabeledDataset, spec,
     for case_id, composition, remain in cases:
         present = sorted(set(int(v) for v in remain.labels))
         for strat in ABLATION_STRATEGIES:
-            cell_cfg = dataclasses.replace(
-                config,
-                unlearn=dataclasses.replace(config.unlearn, strategy=strat),
-            )
+            cell_cfg = _with_unlearn(config, strategy=strat)
             metrics = _run_cell(cell_cfg, model, data, spec, schedule, loss_cap, remain)
             row = {
                 "case": case_id,
@@ -376,41 +379,3 @@ def eval_report_row(report: EvalReport, forget_class: int, strategy: str) -> dic
         "n_per_condition": report.n_samples_per_condition,
         "seed": report.seed,
     }
-
-
-def write_rows_csv(path, columns, rows) -> None:
-    """Fixed-column CSV with shortest round-trip decimal floats."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(v) if isinstance(v, float) else v
-                    for v in (row[c] for c in columns)
-                ]
-            )
-
-
-def read_rows_csv(path, columns):
-    """Read back a harness CSV; numeric text becomes float, else stays str."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != tuple(columns):
-            raise DomainError(f"unexpected CSV header {header}")
-        rows = []
-        for raw in reader:
-            row = {}
-            for key, text in zip(columns, raw):
-                try:
-                    row[key] = int(text)
-                except ValueError:
-                    try:
-                        row[key] = float(text)
-                    except ValueError:
-                        row[key] = text
-            rows.append(row)
-        return rows

@@ -3,7 +3,7 @@
 A template with a concept slot and several descriptive dimensions is expanded
 over the cartesian product of subconcepts. Each record carries a forget
 prompt (concept present) and a remain prompt (the identical sentence with the
-concept token removed and, when needed, the leading article re-agreed).
+concept token removed). Both re-agree a leading article with the word after it.
 Subconcepts are split per dimension into disjoint train and test pools, so
 the two splits never share a subconcept.
 """
@@ -11,10 +11,9 @@ the two splits never share a subconcept.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from . import artifacts
 from .errors import DomainError
 from .rngs import as_generator
 
@@ -87,27 +86,20 @@ def _concept_free_template(template: str) -> str:
 
 
 def _fix_leading_article(sentence: str) -> str:
-    """Re-agree a leading "A"/"An" with the following word's initial sound."""
-    for article, other in (("A ", "An "), ("An ", "A ")):
-        if sentence.startswith(article):
-            rest = sentence[len(article):]
-            vowel_next = rest[:1] in VOWELS
-            wants_an = vowel_next
-            if wants_an and article == "A ":
-                return other + rest
-            if not wants_an and article == "An ":
-                return other + rest
-            return sentence
-    return sentence
+    """Re-agree a leading "A"/"An" with the following word's initial letter."""
+    if not sentence.startswith(("A ", "An ")):
+        return sentence
+    rest = sentence.split(" ", 1)[1]
+    return ("An " if rest and rest[0] in VOWELS else "A ") + rest
 
 
 def render_pair(spec: PromptTemplateSpec, concept: str, combo: dict) -> tuple[str, str]:
     """Fill the template once with and once without the concept token.
 
-    The forget prompt is the raw fill. The remain prompt drops the concept
-    token and re-agrees the leading article, nothing else.
+    The remain prompt drops the concept token, nothing else. Both re-agree a
+    leading article with the word that now follows it.
     """
-    forget = spec.template.format(concept=concept, **combo)
+    forget = _fix_leading_article(spec.template.format(concept=concept, **combo))
     remain = _fix_leading_article(_concept_free_template(spec.template).format(**combo))
     return forget, remain
 
@@ -174,11 +166,4 @@ def gen_prompt_pairs(spec: PromptTemplateSpec, count: int, rng) -> list[dict]:
 
 def save_prompt_pairs(records, path) -> None:
     """Write one prompt record per JSON line."""
-    with Path(path).open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-
-
-def load_prompt_pairs(path) -> list[dict]:
-    with Path(path).open() as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    artifacts.write_jsonl(path, records)

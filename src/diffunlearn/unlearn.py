@@ -19,14 +19,13 @@ applied update.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .data import LabeledDataset
 from .diffusion import NoiseSchedule, diffusion_loss, draw_corruption
 from .errors import DegenerateGradientError, DomainError, TrainingDiverged
@@ -304,43 +303,16 @@ def unlearn_run(
 
 def write_trajectory_csv(reports, path) -> None:
     """Write one row per step with the fixed diagnostic column set."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for r in reports:
-            writer.writerow(
-                [
-                    r.iteration,
-                    repr(r.loss_r),
-                    repr(r.loss_f),
-                    repr(r.raw_forget_mse),
-                    int(r.conflicted),
-                    repr(r.dot),
-                    repr(r.truncated_fraction),
-                ]
-            )
+    artifacts.write_rows_csv(
+        path,
+        TRAJECTORY_COLUMNS,
+        ({**vars(r), "conflicted": int(r.conflicted)} for r in reports),
+    )
 
 
 def read_trajectory_csv(path) -> list[StepReport]:
     """Inverse of :func:`write_trajectory_csv`; floats round-trip exactly."""
-    reports = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != TRAJECTORY_COLUMNS:
-            raise DomainError(
-                f"unexpected trajectory columns {reader.fieldnames} in {path}"
-            )
-        for row in reader:
-            reports.append(
-                StepReport(
-                    iteration=int(row["iteration"]),
-                    loss_r=float(row["loss_r"]),
-                    loss_f=float(row["loss_f"]),
-                    raw_forget_mse=float(row["raw_forget_mse"]),
-                    conflicted=bool(int(row["conflicted"])),
-                    dot=float(row["dot"]),
-                    truncated_fraction=float(row["truncated_fraction"]),
-                )
-            )
-    return reports
+    return [
+        StepReport(**{**row, "conflicted": bool(row["conflicted"])})
+        for row in artifacts.read_rows_csv(path, TRAJECTORY_COLUMNS)
+    ]

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from diffunlearn import harness
+from diffunlearn import artifacts, evaluate, harness
 from diffunlearn.checkpoint import load_checkpoint
 from diffunlearn.cli import main
 from diffunlearn.config import config_from_dict
@@ -133,7 +133,7 @@ def test_train_then_unlearn_then_eval(trained, cfg_path, capsys):
     assert "ua=" in captured and "mmd=" in captured
     report = json.loads((out / "eval_unlearned_graddiff.json").read_text())
     assert 0.0 <= report["ua"] <= 1.0
-    rows = harness.read_rows_csv(
+    rows = artifacts.read_rows_csv(
         out / "eval_unlearned_graddiff.csv", harness.EVAL_COLUMNS
     )
     assert rows[0]["strategy"] == "unlearned_graddiff"
@@ -173,10 +173,10 @@ def test_trajectory_columns_contract(trained, cfg_path):
 def test_sweep_csv_artifacts(trained, cfg_path):
     out = trained
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = harness.read_rows_csv(out / "sweep.csv", harness.SWEEP_COLUMNS)
+    rows = artifacts.read_rows_csv(out / "sweep.csv", harness.SWEEP_COLUMNS)
     assert len(rows) == 1 * 2 * 2
     assert all(r["status"] == "ok" for r in rows)
-    summary = harness.read_rows_csv(
+    summary = artifacts.read_rows_csv(
         out / "sweep_summary.csv", harness.SWEEP_SUMMARY_COLUMNS
     )
     assert len(summary) == 2
@@ -187,9 +187,9 @@ def test_diversity_ablation_csv_artifacts(trained, cfg_path):
     out = trained
     rc = main(["diversity-ablation", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 0
-    rows = harness.read_rows_csv(out / "ablation.csv", harness.ABLATION_COLUMNS)
+    rows = artifacts.read_rows_csv(out / "ablation.csv", harness.ABLATION_COLUMNS)
     assert len(rows) == 6
-    summary = harness.read_rows_csv(
+    summary = artifacts.read_rows_csv(
         out / "ablation_summary.csv", harness.ABLATION_SUMMARY_COLUMNS
     )
     for entry in summary:
@@ -306,6 +306,48 @@ class TestExitCodes:
         rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Balanced: 4 per class from classes holding 3 each.
+            ["unlearn", "--set", "mixture.samples_per_class=3"],
+            # Similar (the ablation's case 1): 20 * 2 / 1 = 40 from one class
+            # of 30.
+            [
+                "diversity-ablation",
+                "--set",
+                "unlearn.remain_per_class=20",
+                "--set",
+                "unlearn.k_nearest=1",
+            ],
+            # Similar with more nearest classes than the 2 retained ones.
+            [
+                "unlearn",
+                "--set",
+                "unlearn.diversity=similar",
+                "--set",
+                "unlearn.remain_per_class=3",
+                "--set",
+                "unlearn.k_nearest=3",
+            ],
+        ],
+    )
+    def test_infeasible_remain_set_is_config_error(
+        self, trained, cfg_path, capsys, argv
+    ):
+        rc = main([*argv, "--config", str(cfg_path), "--out", str(trained)])
+        assert rc == 1
+        assert "config error: unlearn." in capsys.readouterr().err
+
+    def test_non_finite_eval_report_exits_two(
+        self, trained, cfg_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(evaluate, "mmd", lambda a, b, bandwidth: float("nan"))
+        rc = main(["eval", "--config", str(cfg_path), "--out", str(trained)])
+        assert rc == 2
+        assert "ValueError" in capsys.readouterr().err
+        assert not list(trained.glob("eval_*"))
 
     def test_bad_flag_value_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ import pytest
 
 from diffunlearn import harness
 from diffunlearn.config import config_from_dict
-from diffunlearn.errors import ConfigError, DomainError
+from diffunlearn.errors import ConfigError
 
 
 def tiny_raw(**extra):
@@ -240,29 +240,3 @@ class TestDiversityAblation:
                 assert entry[f"case1_{metric}"] == one
                 assert entry[f"case2_{metric}"] == two
                 assert entry[f"delta_{metric}"] == two - one
-
-
-class TestCsvRows:
-    def test_round_trip(self, tmp_path):
-        columns = ("name", "value", "flag")
-        rows = [
-            {"name": "a", "value": 0.1 + 0.2, "flag": 1},
-            {"name": "b", "value": 1e-300, "flag": 0},
-            {"name": "with,comma", "value": -3.5, "flag": 2},
-        ]
-        path = tmp_path / "rows.csv"
-        harness.write_rows_csv(path, columns, rows)
-        back = harness.read_rows_csv(path, columns)
-        assert back == rows
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        harness.write_rows_csv(path, ("a", "b"), [{"a": 1, "b": 2}])
-        with pytest.raises(DomainError, match="header"):
-            harness.read_rows_csv(path, ("a", "c"))
-
-    def test_empty_cells_stay_strings(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        harness.write_rows_csv(path, ("a", "b"), [{"a": "", "b": 1.5}])
-        back = harness.read_rows_csv(path, ("a", "b"))
-        assert back == [{"a": "", "b": 1.5}]

@@ -2,11 +2,11 @@
 
 import pytest
 
+from diffunlearn.artifacts import read_jsonl
 from diffunlearn.errors import DomainError
 from diffunlearn.prompts import (
     PromptTemplateSpec,
     gen_prompt_pairs,
-    load_prompt_pairs,
     render_pair,
     save_prompt_pairs,
     split_dimension,
@@ -50,9 +50,9 @@ class TestRenderPair:
             "A melancholic person painting in a bright, airy studio early evening"
         )
 
-    def test_vowel_mood_fixes_article_only_on_remain_side(self):
-        # The raw fill keeps the template's literal "A"; only the stripped
-        # sentence re-agrees the article with the now-leading vowel.
+    def test_vowel_mood_fixes_article_on_both_sides(self):
+        # The template's literal "A" meets a vowel-initial mood in both fills,
+        # so the pair differs in the concept token alone.
         spec = PromptTemplateSpec()
         forget, remain = render_pair(
             spec,
@@ -65,12 +65,13 @@ class TestRenderPair:
             },
         )
         assert forget == (
-            "A excited unclad person shopping in a bright, airy studio "
+            "An excited unclad person shopping in a bright, airy studio "
             "early evening"
         )
         assert remain == (
             "An excited person shopping in a bright, airy studio early evening"
         )
+        assert remain == forget.replace("unclad ", "", 1)
 
     def test_remain_is_forget_minus_token(self):
         spec = token_spec()
@@ -204,4 +205,4 @@ class TestPromptIO:
         records = gen_prompt_pairs(token_spec(), 3, 1)
         path = tmp_path / "pairs.jsonl"
         save_prompt_pairs(records, path)
-        assert load_prompt_pairs(path) == records
+        assert read_jsonl(path) == records

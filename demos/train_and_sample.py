@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from diffunlearn.data import circle_mixture, gen_mixture
-from diffunlearn.diffusion import ddpm_sample, make_schedule
+from diffunlearn.diffusion import NoiseSchedule, ddpm_sample
 from diffunlearn.evaluate import classify_points
 from diffunlearn.nn import init_model
 from diffunlearn.train import TrainConfig, pretrain
@@ -30,7 +30,7 @@ def main():
     data = gen_mixture(spec, args.seed)
     # Needs enough total noise that the terminal step is near-pure noise;
     # a short schedule leaves residual signal and biases samples inward.
-    schedule = make_schedule(100, 1e-4, 0.1)
+    schedule = NoiseSchedule(100, 1e-4, 0.1)
     model = init_model(2, (64, 64), spec.num_classes, schedule.num_timesteps,
                        np.random.default_rng(args.seed + 1))
 

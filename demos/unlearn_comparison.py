@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from diffunlearn.data import balanced_remaining_set, circle_mixture, gen_mixture
-from diffunlearn.diffusion import make_schedule
+from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.evaluate import EvalConfig, full_eval
 from diffunlearn.nn import init_model
 from diffunlearn.train import TrainConfig, derive_loss_cap, pretrain
@@ -51,7 +51,7 @@ def main():
 
     spec = circle_mixture(num_classes=5, radius=2.0, sigma=0.5, samples_per_class=1000)
     data = gen_mixture(spec, args.seed)
-    schedule = make_schedule(100, 1e-4, 0.1)
+    schedule = NoiseSchedule(100, 1e-4, 0.1)
     model = init_model(2, (64, 64), spec.num_classes, schedule.num_timesteps,
                        np.random.default_rng(args.seed + 1))
     t0 = time.time()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .diffusion import NoiseSchedule, make_schedule
+from .diffusion import NoiseSchedule
 from .errors import CheckpointError
 from .nn import NoisePredictor
 
@@ -106,10 +106,12 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     sched = doc["schedule"]
     try:
-        schedule = make_schedule(
+        schedule = NoiseSchedule(
             sched["num_timesteps"], sched["beta_min"], sched["beta_max"]
         )
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} schedule is missing {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     provenance = doc.get("provenance", {})
     return model, schedule, provenance

@@ -129,15 +129,14 @@ def _checkpoint_path(args, config) -> Path:
 
 def _save_checkpoint(args, raw, config, name, model, schedule, iterations) -> None:
     """A checkpoint with this run's provenance, for train and unlearn alike."""
-    s = config.schedule
 
     def save(path):
         save_checkpoint(
             path,
             model,
             schedule,
-            s.beta_min,
-            s.beta_max,
+            schedule.beta_min,
+            schedule.beta_max,
             config_hash=config_hash(raw),
             seed=config.seed,
             iterations=iterations,
@@ -165,12 +164,10 @@ def cmd_gen_data(args, raw, config) -> int:
 def cmd_train(args, raw, config) -> int:
     spec, data = harness.build_dataset(config)
     model, history = harness.pretrain_from_config(config, data, spec)
-    schedule = harness.build_schedule(config)
-    _save_checkpoint(
-        args, raw, config, "pretrained.json", model, schedule, config.pretrain.steps
-    )
+    steps = config.pretrain.steps
+    _save_checkpoint(args, raw, config, "pretrained.json", model, config.schedule, steps)
     final = history[-1] if history else float("nan")
-    print(f"steps={config.pretrain.steps} final_loss={final:.6g}")
+    print(f"steps={steps} final_loss={final:.6g}")
     return 0
 
 

@@ -12,15 +12,17 @@ named, so a typo fails loudly instead of silently running defaults.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .data import MixtureSpec, circle_mixture
-from .diffusion import make_schedule
+from .diffusion import NoiseSchedule
 from .errors import ConfigError, DomainError
 from .evaluate import EvalConfig
 from .train import TrainConfig
@@ -55,7 +57,7 @@ class MixtureSection:
     radius: float = 5.0
     sigma: float = 0.3
     samples_per_class: int = 1000
-    means: tuple | None = None
+    means: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         # Eager build so a bad field fails at config load, not mid-pipeline.
@@ -78,25 +80,14 @@ class MixtureSection:
 
 
 @dataclass(frozen=True)
-class ScheduleSection:
-    num_timesteps: int = 100
-    beta_min: float = 1e-4
-    beta_max: float = 0.1
-
-    def __post_init__(self):
-        make_schedule(self.num_timesteps, self.beta_min, self.beta_max)
-
-
-@dataclass(frozen=True)
 class ModelSection:
-    hidden_dims: tuple = (64, 64)
+    hidden_dims: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
         if not self.hidden_dims:
             raise DomainError("hidden_dims must be nonempty")
-        for width in self.hidden_dims:
-            if not isinstance(width, int) or isinstance(width, bool) or width < 1:
-                raise DomainError("hidden_dims must hold positive integers")
+        if min(self.hidden_dims) < 1:
+            raise DomainError("hidden_dims must hold positive integers")
 
 
 @dataclass(frozen=True)
@@ -150,10 +141,10 @@ class UnlearnSection:
 
 @dataclass(frozen=True)
 class SweepSection:
-    forget_weights: tuple = (0.5, 1.0, 5.0)
-    loss_caps: tuple | None = None
-    loss_cap_scales: tuple = (0.5, 1.0, 2.0)
-    strategies: tuple = ("restricted", "graddiff")
+    forget_weights: tuple[float, ...] = (0.5, 1.0, 5.0)
+    loss_caps: tuple[float, ...] | None = None
+    loss_cap_scales: tuple[float, ...] = (0.5, 1.0, 2.0)
+    strategies: tuple[str, ...] = ("restricted", "graddiff")
 
     def __post_init__(self):
         if len(self.forget_weights) == 0 or len(self.loss_cap_scales) == 0:
@@ -180,7 +171,7 @@ class RunConfig:
     seed: int = 0
     forget_class: int = 0
     mixture: MixtureSection = field(default_factory=MixtureSection)
-    schedule: ScheduleSection = field(default_factory=ScheduleSection)
+    schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
     model: ModelSection = field(default_factory=ModelSection)
     pretrain: TrainConfig = field(default_factory=TrainConfig)
     unlearn: UnlearnSection = field(default_factory=UnlearnSection)
@@ -195,66 +186,60 @@ class RunConfig:
             )
 
 
-_SECTIONS = {
-    f.name: f.default_factory
-    for f in dataclasses.fields(RunConfig)
-    if f.default_factory is not dataclasses.MISSING
-}
+def _field_value(path: str, hint, value):
+    """``value`` checked against the field annotation ``hint``.
 
-_LIST_FIELDS = {
-    ("mixture", "means"),
-    ("model", "hidden_dims"),
-    ("sweep", "forget_weights"),
-    ("sweep", "loss_caps"),
-    ("sweep", "loss_cap_scales"),
-    ("sweep", "strategies"),
-}
+    An int field rejects bools and floats, a float field also takes an int,
+    ``| None`` admits null, and a ``tuple[T, ...]`` field takes a list whose
+    items are checked against T, returned as a tuple.
+    """
+    options = typing.get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = [t for t in options if t is not type(None)]
+    if hint is tuple or typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"field '{path}' must be a list")
+        item = typing.get_args(hint)[0]
+        return tuple(_field_value(f"{path}[{i}]", item, v) for i, v in enumerate(value))
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            f"field '{path}' must be {hint.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
-def _build_section(name: str, cls, raw: dict):
+# Resolving string annotations costs ten times a whole document's checks.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _build(path: str, cls, raw: dict):
+    """A dataclass from a JSON object, each value typed by its annotation."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"section '{name}' must be an object")
-    allowed = set(cls.__dataclass_fields__)
+        raise ConfigError(f"section '{path}' must be an object")
+    hints = _type_hints(cls)
     kwargs = {}
     for key, value in raw.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown field '{name}.{key}'")
-        if isinstance(value, list):
-            if (name, key) not in _LIST_FIELDS:
-                raise ConfigError(f"field '{name}.{key}' does not take a list")
-            value = tuple(
-                tuple(v) if isinstance(v, list) else v for v in value
-            )
-        kwargs[key] = value
+        dotted = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigError(f"unknown field '{dotted}'")
+        if dataclasses.is_dataclass(hints[key]):
+            kwargs[key] = _build(dotted, hints[key], value)
+        else:
+            kwargs[key] = _field_value(dotted, hints[key], value)
     try:
         return cls(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"section '{name}': {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"section '{name}': {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"section '{path}': {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    known_top = {"seed", "forget_class"} | set(_SECTIONS)
-    for key in raw:
-        if key not in known_top:
-            raise ConfigError(f"unknown field '{key}'")
-    kwargs = {}
-    for scalar in ("seed", "forget_class"):
-        if scalar in raw:
-            if not isinstance(raw[scalar], int) or isinstance(raw[scalar], bool):
-                raise ConfigError(f"field '{scalar}' must be an integer")
-            kwargs[scalar] = raw[scalar]
-    for name, cls in _SECTIONS.items():
-        if name in raw:
-            kwargs[name] = _build_section(name, cls, raw[name])
-    try:
-        return RunConfig(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build("", RunConfig, raw)
 
 
 def load_config(path) -> RunConfig:

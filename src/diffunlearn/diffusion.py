@@ -17,42 +17,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .nn import NoisePredictor, mlp_forward, squared_error_backward
+from .nn import NoisePredictor, _timestep_rows, mlp_forward, squared_error_backward
 from .rngs import as_generator
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Variance schedule of the forward diffusion process.
+    """Linear variance schedule of the forward diffusion process.
 
-    Attributes:
-        num_timesteps: Largest timestep T.
-        betas: Per-step variances beta_t for t = 1..T, each in (0, 1).
-        alpha_bars: Cumulative products of (1 - beta_j) up to each t,
-            strictly decreasing, each in (0, 1).
+    The three fields are the whole schedule; ``betas`` (beta_t for
+    t = 1..T, from beta_min to beta_max inclusive) and ``alpha_bars`` (their
+    cumulative products of 1 - beta) are derived once and read-only.
+
+    Example: T=4 over [0.1, 0.4] gives betas (0.1, 0.2, 0.3, 0.4) and
+    alpha_bars (0.9, 0.72, 0.504, 0.3024).
     """
 
-    num_timesteps: int
-    betas: np.ndarray
-    alpha_bars: np.ndarray
+    num_timesteps: int = 100
+    beta_min: float = 1e-4
+    beta_max: float = 0.1
 
     def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=np.float64).reshape(-1)
-        abars = np.asarray(self.alpha_bars, dtype=np.float64).reshape(-1)
         if self.num_timesteps < 1:
             raise DomainError("schedule needs at least one timestep")
-        if betas.shape != (self.num_timesteps,) or abars.shape != (self.num_timesteps,):
-            raise ShapeError("betas and alpha_bars must have one entry per timestep")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
-            raise DomainError("every beta must lie strictly inside (0, 1)")
-        if np.any(abars <= 0.0) or np.any(abars >= 1.0):
-            raise DomainError("every alpha_bar must lie strictly inside (0, 1)")
-        if np.any(np.diff(abars) >= 0.0):
-            raise DomainError("alpha_bars must be strictly decreasing")
-        for arr in (betas, abars):
+        if not (0.0 < self.beta_min <= self.beta_max < 1.0):
+            raise DomainError("need 0 < beta_min <= beta_max < 1")
+        betas = np.linspace(self.beta_min, self.beta_max, self.num_timesteps)
+        alpha_bars = np.cumprod(1.0 - betas)
+        # 1 - beta rounds to 1 for a tiny beta, and the product can underflow
+        # on a long schedule; the sampler divides by sqrt(1 - alpha_bar).
+        decreasing = np.all(np.diff(alpha_bars) < 0.0)
+        if not (decreasing and 0.0 < alpha_bars[-1] and alpha_bars[0] < 1.0):
+            raise DomainError("alpha_bars must lie in (0, 1) and strictly decrease")
+        for arr in (betas, alpha_bars):
             arr.flags.writeable = False
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alpha_bars", abars)
+        object.__setattr__(self, "alpha_bars", alpha_bars)
 
     def beta(self, t: int) -> float:
         """beta_t for a 1-based timestep."""
@@ -69,45 +69,12 @@ class SamplerOutput:
 
     Attributes:
         samples: Final denoised points, shape (n, input_dim).
-        trajectory: Intermediate states [x_T, ..., x_0] when requested,
-            otherwise None.
         seed: Integer seed that drove the run, or None when the caller
             supplied a generator object.
     """
 
     samples: np.ndarray
-    trajectory: list | None
     seed: int | None
-
-
-def make_schedule(num_timesteps: int, beta_min: float, beta_max: float) -> NoiseSchedule:
-    """Linear beta schedule from beta_min to beta_max inclusive.
-
-    Example: T=4 over [0.1, 0.4] gives betas (0.1, 0.2, 0.3, 0.4) and
-    alpha_bars (0.9, 0.72, 0.504, 0.3024).
-    """
-    if num_timesteps < 1:
-        raise DomainError("schedule needs at least one timestep")
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise DomainError("need 0 < beta_min <= beta_max < 1")
-    if num_timesteps == 1:
-        betas = np.array([beta_min])
-    else:
-        betas = np.linspace(beta_min, beta_max, num_timesteps)
-    alpha_bars = np.cumprod(1.0 - betas)
-    return NoiseSchedule(num_timesteps=num_timesteps, betas=betas, alpha_bars=alpha_bars)
-
-
-def _per_sample_t(schedule: NoiseSchedule, t, batch: int) -> np.ndarray:
-    t = np.asarray(t)
-    if t.ndim == 0:
-        t = np.full(batch, int(t))
-    if t.shape != (batch,):
-        raise ShapeError(f"timesteps have shape {t.shape}, expected ({batch},)")
-    t = t.astype(np.int64)
-    if np.any(t < 1) or np.any(t > schedule.num_timesteps):
-        raise DomainError(f"timesteps must lie in 1..{schedule.num_timesteps}")
-    return t
 
 
 def q_sample(x0, t, eps, schedule: NoiseSchedule) -> np.ndarray:
@@ -120,8 +87,8 @@ def q_sample(x0, t, eps, schedule: NoiseSchedule) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ShapeError(f"x0 shape {x0.shape} does not match eps shape {eps.shape}")
-    t = _per_sample_t(schedule, t, x0.shape[0])
-    abar = schedule.alpha_bars[t - 1][:, None]
+    rows = _timestep_rows(schedule.num_timesteps, t, x0.shape[0])
+    abar = schedule.alpha_bars[rows][:, None]
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
 
 
@@ -165,7 +132,6 @@ def ddpm_sample(
     n: int,
     schedule: NoiseSchedule,
     rng,
-    keep_trajectory: bool = False,
 ) -> SamplerOutput:
     """Draw n points by ancestral sampling from the reverse process.
 
@@ -179,7 +145,6 @@ def ddpm_sample(
         n: Number of chains to run.
         schedule: Forward schedule the model was trained against.
         rng: Integer seed or numpy Generator.
-        keep_trajectory: Record every intermediate x_t (memory scales with T).
     """
     if n < 1:
         raise DomainError("sample count must be at least 1")
@@ -189,7 +154,6 @@ def ddpm_sample(
         )
     gen, seed = as_generator(rng)
     x = gen.standard_normal((n, model.input_dim))
-    trajectory = [x.copy()] if keep_trajectory else None
     for t in range(schedule.num_timesteps, 0, -1):
         beta = schedule.beta(t)
         abar = schedule.alpha_bar(t)
@@ -199,6 +163,4 @@ def ddpm_sample(
             x = mu + np.sqrt(beta) * gen.standard_normal((n, model.input_dim))
         else:
             x = mu
-        if keep_trajectory:
-            trajectory.append(x.copy())
-    return SamplerOutput(samples=x, trajectory=trajectory, seed=seed)
+    return SamplerOutput(samples=x, seed=seed)

@@ -28,7 +28,6 @@ from .data import (
     gen_mixture,
     similarity_restricted_set,
 )
-from .diffusion import make_schedule
 from .errors import ConfigError
 from .evaluate import EvalReport, full_eval
 from .nn import init_model
@@ -101,8 +100,8 @@ def build_dataset(config: RunConfig):
 
 
 def build_schedule(config: RunConfig):
-    s = config.schedule
-    return make_schedule(s.num_timesteps, s.beta_min, s.beta_max)
+    """The noise schedule every stage of this config runs against."""
+    return config.schedule
 
 
 def init_from_config(config: RunConfig, spec=None):
@@ -120,10 +119,13 @@ def init_from_config(config: RunConfig, spec=None):
 
 def pretrain_from_config(config: RunConfig, data: LabeledDataset, spec=None):
     """Initialize and train the conditional denoiser; returns (model, history)."""
-    schedule = build_schedule(config)
     model = init_from_config(config, spec)
     return pretrain(
-        model, data, schedule, config.pretrain, stage_seed(config.seed, STAGE_PRETRAIN)
+        model,
+        data,
+        config.schedule,
+        config.pretrain,
+        stage_seed(config.seed, STAGE_PRETRAIN),
     )
 
 

@@ -159,17 +159,16 @@ def init_model(
     )
 
 
-def _timestep_rows(model: NoisePredictor, t, batch: int) -> np.ndarray:
+def _timestep_rows(num_timesteps: int, t, batch: int) -> np.ndarray:
+    """0-based table rows for 1-based timesteps, scalar or one per sample."""
     t = np.asarray(t)
     if t.ndim == 0:
         t = np.full(batch, int(t))
     if t.shape != (batch,):
         raise ShapeError(f"timesteps have shape {t.shape}, expected ({batch},)")
     t = t.astype(np.int64)
-    if np.any(t < 1) or np.any(t > model.num_timesteps):
-        raise DomainError(
-            f"timesteps must lie in 1..{model.num_timesteps}"
-        )
+    if np.any(t < 1) or np.any(t > num_timesteps):
+        raise DomainError(f"timesteps must lie in 1..{num_timesteps}")
     return t - 1
 
 
@@ -201,7 +200,7 @@ def forward_activations(model: NoisePredictor, x, t, class_id):
             f"input has shape {x.shape}, expected (batch, {model.input_dim})"
         )
     batch = x.shape[0]
-    t_rows = _timestep_rows(model, t, batch)
+    t_rows = _timestep_rows(model.num_timesteps, t, batch)
     c_rows = _class_rows(model, class_id, batch)
     weights, biases, time_table, class_table = model.unpack()
 

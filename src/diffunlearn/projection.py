@@ -10,6 +10,7 @@ which coincides with the gradient-surgery rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,16 @@ class RestrictedUpdate:
     norm_r: float
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two 1-D vectors with a fixed reduction order.
+
+    A BLAS dot splits long vectors across threads, so its last bit depends on
+    the thread count; einsum's own loop does not, which keeps a run's bytes
+    the same at every thread count.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def project_away(g, onto) -> np.ndarray:
     """Component of ``g`` orthogonal to ``onto``.
 
@@ -60,13 +71,13 @@ def project_away(g, onto) -> np.ndarray:
     onto = np.asarray(onto, dtype=np.float64).reshape(-1)
     if g.shape != onto.shape:
         raise ShapeError(f"vector lengths differ: {g.size} vs {onto.size}")
-    norm_sq = float(onto @ onto)
+    norm_sq = inner(onto, onto)
     if norm_sq == 0.0:
         raise DegenerateGradientError("cannot project away from a zero vector")
-    out = g - (float(g @ onto) / norm_sq) * onto
-    if float(out @ out) < 0.25 * float(g @ g):
-        again = out - (float(out @ onto) / norm_sq) * onto
-        if float(again @ again) < 0.25 * float(out @ out):
+    out = g - (inner(g, onto) / norm_sq) * onto
+    if inner(out, out) < 0.25 * inner(g, g):
+        again = out - (inner(out, onto) / norm_sq) * onto
+        if inner(again, again) < 0.25 * inner(out, out):
             return np.zeros_like(g)
         out = again
     return out
@@ -86,11 +97,11 @@ def restricted_gradient(grad_f, grad_r) -> RestrictedUpdate:
     grad_r = np.asarray(grad_r, dtype=np.float64).reshape(-1)
     if grad_f.shape != grad_r.shape:
         raise ShapeError(f"vector lengths differ: {grad_f.size} vs {grad_r.size}")
-    norm_f = float(np.linalg.norm(grad_f))
-    norm_r = float(np.linalg.norm(grad_r))
+    norm_f = math.sqrt(inner(grad_f, grad_f))
+    norm_r = math.sqrt(inner(grad_r, grad_r))
     if norm_f == 0.0 and norm_r == 0.0:
         raise DegenerateGradientError("both gradients are zero vectors")
-    dot = float(grad_f @ grad_r)
+    dot = inner(grad_f, grad_r)
     if dot < 0.0:
         delta_f = project_away(grad_f, grad_r)
         delta_r = project_away(grad_r, grad_f)

@@ -30,7 +30,7 @@ from .data import LabeledDataset
 from .diffusion import NoiseSchedule, diffusion_loss, draw_corruption
 from .errors import DegenerateGradientError, DomainError, TrainingDiverged
 from .nn import NoisePredictor, backward_from_activations, forward_activations
-from .projection import restricted_gradient
+from .projection import inner, restricted_gradient
 from .rngs import as_generator
 
 log = logging.getLogger(__name__)
@@ -202,7 +202,7 @@ def unlearn_step(
     loss_r, grad_r = diffusion_loss(
         model, remain_batch.points, remain_batch.labels, schedule, rng
     )
-    dot = float(grad_f @ grad_r)
+    dot = inner(grad_f, grad_r)
     conflicted = dot < 0.0
 
     rule, _ = parse_strategy(config.strategy)

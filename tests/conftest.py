@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from diffunlearn.data import circle_mixture, gen_mixture
-from diffunlearn.diffusion import make_schedule
+from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.nn import init_model
 from diffunlearn.train import TrainConfig, pretrain
 
@@ -61,7 +61,7 @@ def toy3():
     """
     spec = circle_mixture(num_classes=3, radius=4.0, sigma=0.3, samples_per_class=300)
     data = gen_mixture(spec, 100)
-    schedule = make_schedule(40, 1e-4, 0.15)
+    schedule = NoiseSchedule(40, 1e-4, 0.15)
     model = init_model(2, (48, 48), 3, 40, np.random.default_rng(1))
     model, history = pretrain(
         model,

@@ -10,7 +10,7 @@ from diffunlearn.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from diffunlearn.diffusion import make_schedule
+from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.errors import CheckpointError
 from diffunlearn.nn import init_model
 
@@ -23,7 +23,7 @@ def small_model():
 
 @pytest.fixture
 def schedule():
-    return make_schedule(8, 1e-4, 0.1)
+    return NoiseSchedule(8, 1e-4, 0.1)
 
 
 def test_round_trip_bit_exact(tmp_path, small_model, schedule):
@@ -107,6 +107,16 @@ def test_missing_section_rejected(tmp_path, small_model, schedule):
             load_checkpoint(path)
 
 
+def test_invalid_schedule_names_file(tmp_path, small_model, schedule):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
+    doc = json.loads(path.read_text())
+    doc["schedule"]["beta_max"] = 1.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="ck.json.*beta_max"):
+        load_checkpoint(path)
+
+
 def test_non_finite_params_rejected(tmp_path, small_model, schedule):
     path = tmp_path / "ck.json"
     params = small_model.params.copy()
@@ -136,7 +146,7 @@ def test_invalid_json_rejected(tmp_path):
 
 def test_schedule_regenerated_not_stored(tmp_path, small_model):
     # Only the three schedule scalars persist; betas rebuild exactly.
-    schedule = make_schedule(8, 2e-4, 0.05)
+    schedule = NoiseSchedule(8, 2e-4, 0.05)
     path = tmp_path / "ck.json"
     save_checkpoint(path, small_model, schedule, 2e-4, 0.05)
     doc = json.loads(path.read_text())

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -382,6 +383,29 @@ class TestExitCodes:
         )
         assert rc == 0
         assert (a / "dataset.jsonl").read_bytes() == (b / "dataset.jsonl").read_bytes()
+
+
+def test_unlearn_bytes_independent_of_blas_threads(tmp_path):
+    # The default width: its ~11k parameters put the update's inner products
+    # past OpenBLAS's threading threshold, which the tiny config stays under.
+    overrides = ["--set", "pretrain.steps=5", "--set", "unlearn.iterations=5"]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for command in ("train", "unlearn"):
+            result = subprocess.run(
+                [sys.executable, "-m", "diffunlearn", command, "--out", str(out)]
+                + overrides,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    one, two = runs
+    assert sorted(one) == sorted(two)
+    assert [name for name in sorted(one) if one[name] != two[name]] == []
 
 
 def test_module_invocation(tmp_path, cfg_path):

@@ -69,6 +69,11 @@ def test_scalar_type_checked():
         ({"sweep": {"strategies": []}}, "sweep"),
         ({"sweep": {"strategies": ["nope"]}}, "sweep"),
         ({"forget_class": 99}, "forget_class"),
+        ({"mixture": {"num_classes": 3, "means": [[0, 0], [1, 1]]}}, "mixture"),
+        ({"pretrain": {"steps": 10.5}}, r"pretrain\.steps"),
+        ({"unlearn": {"iterations": True}}, r"unlearn\.iterations"),
+        ({"unlearn": {"loss_cap": True}}, r"unlearn\.loss_cap"),
+        ({"sweep": {"loss_cap_scales": ["x"]}}, r"sweep\.loss_cap_scales\[0\]"),
     ],
     ids=lambda v: str(v)[:40],
 )

@@ -5,7 +5,7 @@ import pytest
 
 from diffunlearn import evaluate as evaluate_mod
 from diffunlearn.data import MixtureSpec, circle_mixture
-from diffunlearn.diffusion import SamplerOutput, ddpm_sample, make_schedule
+from diffunlearn.diffusion import NoiseSchedule, SamplerOutput, ddpm_sample
 from diffunlearn.errors import DomainError
 from diffunlearn.evaluate import (
     EvalConfig,
@@ -29,9 +29,9 @@ def two_blob_spec():
 def stub_sampler(per_class_point):
     """ddpm_sample lookalike emitting a fixed point per conditioning class."""
 
-    def fake(model, class_id, n, schedule, rng, keep_trajectory=False):
+    def fake(model, class_id, n, schedule, rng):
         samples = np.tile(np.asarray(per_class_point[class_id], dtype=float), (n, 1))
-        return SamplerOutput(samples=samples, trajectory=None, seed=None)
+        return SamplerOutput(samples=samples, seed=None)
 
     return fake
 

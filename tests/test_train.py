@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffunlearn.data import circle_mixture, gen_mixture
-from diffunlearn.diffusion import make_schedule
+from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.errors import DomainError, TrainingDiverged
 from diffunlearn.nn import init_model
 from diffunlearn.train import (
@@ -19,7 +19,7 @@ def small_setup(samples_per_class=60):
     spec = circle_mixture(num_classes=3, radius=4.0, sigma=0.3,
                           samples_per_class=samples_per_class)
     data = gen_mixture(spec, 5)
-    sched = make_schedule(10, 1e-3, 0.2)
+    sched = NoiseSchedule(10, 1e-3, 0.2)
     model = init_model(2, (16,), 3, 10, np.random.default_rng(0))
     return data, sched, model
 

@@ -7,7 +7,7 @@ import pytest
 
 from diffunlearn import unlearn as unlearn_mod
 from diffunlearn.data import LabeledDataset, balanced_remaining_set
-from diffunlearn.diffusion import diffusion_loss, make_schedule
+from diffunlearn.diffusion import NoiseSchedule, diffusion_loss
 from diffunlearn.errors import DomainError
 from diffunlearn.nn import (
     NoisePredictor,
@@ -86,7 +86,7 @@ class TestForgettingLoss:
     def test_hand_computed_clamp(self, monkeypatch):
         # Zero model predicts 0, so per-sample loss is ||eps||^2; rows give
         # losses (0.05, 0.5). Cap 0.1, weight 2: loss = -2*(0.05+0.1)/2.
-        sched = make_schedule(4, 0.1, 0.4)
+        sched = NoiseSchedule(4, 0.1, 0.4)
         model = zero_model()
         eps = np.array([[np.sqrt(0.05), 0.0], [np.sqrt(0.5), 0.0]])
 
@@ -119,7 +119,7 @@ class TestForgettingLoss:
         np.testing.assert_array_equal(grad, expected)
 
     def test_zero_weight_kills_loss_and_gradient(self):
-        sched = make_schedule(4, 0.1, 0.4)
+        sched = NoiseSchedule(4, 0.1, 0.4)
         model = random_small_model()
         loss_f, grad, raw_mse, _ = forgetting_loss(
             model,
@@ -136,7 +136,7 @@ class TestForgettingLoss:
 
     def test_full_truncation_saturates(self):
         # A cap below every per-sample loss: no gradient, fraction 1.
-        sched = make_schedule(4, 0.1, 0.4)
+        sched = NoiseSchedule(4, 0.1, 0.4)
         model = random_small_model()
         loss_f, grad, raw_mse, truncated = forgetting_loss(
             model,
@@ -155,7 +155,7 @@ class TestForgettingLoss:
     def test_gradient_matches_finite_differences_through_clamp(self):
         # Cap 2.5 sits >= 0.4 away from every per-sample loss under this
         # seed, so the clamp is locally smooth and central differences apply.
-        sched = make_schedule(4, 0.1, 0.4)
+        sched = NoiseSchedule(4, 0.1, 0.4)
         model = random_small_model()
         x0 = np.random.default_rng(60).standard_normal((6, 2))
         cids = np.array([0, 1, 0, 1, 0, 1])
@@ -180,7 +180,7 @@ class TestForgettingLoss:
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
 
     def test_empty_batch_rejected(self):
-        sched = make_schedule(4, 0.1, 0.4)
+        sched = NoiseSchedule(4, 0.1, 0.4)
         with pytest.raises(DomainError):
             forgetting_loss(
                 zero_model(), np.empty((0, 2)), np.empty(0, dtype=int),

@@ -64,8 +64,9 @@ def load_checkpoint(path):
     """Load a checkpoint file.
 
     Returns (model, schedule, provenance dict). Unknown versions, non-finite
-    parameters and parameter vectors that do not match the declared
-    architecture are rejected rather than guessed at.
+    parameters, parameter vectors that do not match the declared
+    architecture and schedules longer than the timestep table are rejected
+    rather than guessed at.
     """
     path = Path(path)
     if not path.exists():
@@ -113,5 +114,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} schedule is missing {exc}") from exc
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+    if schedule.num_timesteps > model.num_timesteps:
+        raise CheckpointError(
+            f"checkpoint {path}: schedule has {schedule.num_timesteps} timesteps "
+            f"but the timestep table has {model.num_timesteps} rows"
+        )
     provenance = doc.get("provenance", {})
     return model, schedule, provenance

@@ -127,6 +127,22 @@ def _checkpoint_path(args, config) -> Path:
     return Path(args.out) / config.paths.checkpoint_dir / "pretrained.json"
 
 
+def _checkpoint_model(path, config):
+    """The model in checkpoint ``path``, whose schedule must be the config's.
+
+    Every command that reads a checkpoint runs on ``config.schedule`` and
+    stamps the config's hash, so a checkpoint trained on another schedule is
+    a config error.
+    """
+    model, schedule, _ = load_checkpoint(path)
+    if schedule != config.schedule:
+        raise ConfigError(
+            f"config schedule {config.schedule} differs from the schedule "
+            f"{schedule} of checkpoint {path}"
+        )
+    return model
+
+
 def _save_checkpoint(args, raw, config, name, model, schedule, iterations) -> None:
     """A checkpoint with this run's provenance, for train and unlearn alike."""
 
@@ -172,9 +188,11 @@ def cmd_train(args, raw, config) -> int:
 
 
 def cmd_unlearn(args, raw, config) -> int:
-    model, schedule, _ = load_checkpoint(_checkpoint_path(args, config))
+    model = _checkpoint_model(_checkpoint_path(args, config), config)
     spec, data = harness.build_dataset(config)
-    final, reports, run_cfg = harness.unlearn_from_config(config, model, data, schedule)
+    final, reports, run_cfg = harness.unlearn_from_config(
+        config, model, data, config.schedule
+    )
     tag = config.unlearn.strategy
     _save_checkpoint(
         args,
@@ -182,7 +200,7 @@ def cmd_unlearn(args, raw, config) -> int:
         config,
         f"unlearned_{tag}.json",
         final,
-        schedule,
+        config.schedule,
         config.unlearn.iterations,
     )
     trajectory = f"trajectory_{tag}.csv"
@@ -197,8 +215,10 @@ def cmd_unlearn(args, raw, config) -> int:
 
 def cmd_eval(args, raw, config) -> int:
     checkpoint = _checkpoint_path(args, config)
-    model, schedule, _ = load_checkpoint(checkpoint)
-    report = harness.eval_from_config(config, model, config.mixture.build(), schedule)
+    model = _checkpoint_model(checkpoint, config)
+    report = harness.eval_from_config(
+        config, model, config.mixture.build(), config.schedule
+    )
     name = f"eval_{checkpoint.stem}"
     _write(args, config.paths.report_dir, f"{name}.json", save_eval_report, report)
     row = harness.eval_report_row(report, config.forget_class, checkpoint.stem)
@@ -209,9 +229,9 @@ def cmd_eval(args, raw, config) -> int:
 
 def _run_grid(args, config, run, name, columns, summary_columns):
     """Run a grid of cells off the checkpoint and write its two tables."""
-    model, schedule, _ = load_checkpoint(_checkpoint_path(args, config))
+    model = _checkpoint_model(_checkpoint_path(args, config), config)
     spec, data = harness.build_dataset(config)
-    rows, summary = run(config, model, data, spec, schedule)
+    rows, summary = run(config, model, data, spec, config.schedule)
     _write_table(args, config, f"{name}.csv", columns, rows)
     _write_table(args, config, f"{name}_summary.csv", summary_columns, summary)
     return rows, summary

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,9 +190,10 @@ class RunConfig:
 def _field_value(path: str, hint, value):
     """``value`` checked against the field annotation ``hint``.
 
-    An int field rejects bools and floats, a float field also takes an int,
-    ``| None`` admits null, and a ``tuple[T, ...]`` field takes a list whose
-    items are checked against T, returned as a tuple.
+    An int field rejects bools and floats, a float field also takes an int
+    but rejects NaN and +-Infinity, ``| None`` admits null, and a
+    ``tuple[T, ...]`` field takes a list whose items are checked against T,
+    returned as a tuple.
     """
     options = typing.get_args(hint)
     if type(None) in options:
@@ -208,6 +210,10 @@ def _field_value(path: str, hint, value):
         raise ConfigError(
             f"field '{path}' must be {hint.__name__}, got {type(value).__name__}"
         )
+    # Every comparison with NaN is false, so it slips past checks such as
+    # `lr <= 0`; Infinity slips past the one-sided ones.
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"field '{path}' must be finite, got {value}")
     return value
 
 

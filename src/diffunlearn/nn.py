@@ -236,7 +236,11 @@ def backward_from_activations(
     """Gradient of sum_i w_i * ||out_i - target_i||^2 w.r.t. ``params``.
 
     ``acts`` must come from :func:`forward_activations` on the same model.
-    The reduction order is fixed, so results are bit-reproducible.
+    The reduction order is fixed, so results are bit-reproducible. The two
+    embedding tables receive the first-layer delta scattered by ``t_rows``
+    and ``c_rows``: each table entry is the sum of its samples' deltas,
+    accumulated in batch order from 0.0, independent of the BLAS build and
+    thread count.
     """
     weights, _, _, _ = model.unpack()
     out = acts[-1]
@@ -261,15 +265,22 @@ def backward_from_activations(
 
     h0 = model.hidden_dims[0]
     t_off = offsets[-1][0]
-    g_time = grad[t_off : t_off + model.num_timesteps * h0].reshape(
-        model.num_timesteps, h0
-    )
-    g_class = grad[t_off + model.num_timesteps * h0 :].reshape(
-        model.num_classes + 1, h0
-    )
-    np.add.at(g_time, t_rows, delta)
-    np.add.at(g_class, c_rows, delta)
+    c_off = t_off + model.num_timesteps * h0
+    grad[t_off:c_off] = _scatter_rows(t_rows, delta, model.num_timesteps)
+    grad[c_off:] = _scatter_rows(c_rows, delta, model.num_classes + 1)
     return grad
+
+
+def _scatter_rows(rows, delta, num_rows: int) -> np.ndarray:
+    """Flat (num_rows, width) table whose row r sums delta[i] over rows[i] == r.
+
+    bincount adds its weights in input order into a zeroed float64
+    accumulator: each entry gets its summands in batch order starting from
+    0.0, exactly as a sequential scatter-add would, with no BLAS call.
+    """
+    width = delta.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=delta.ravel(), minlength=num_rows * width)
 
 
 def _layer_offsets(model: NoisePredictor):

@@ -117,6 +117,16 @@ def test_invalid_schedule_names_file(tmp_path, small_model, schedule):
         load_checkpoint(path)
 
 
+def test_schedule_longer_than_timestep_table_rejected(tmp_path, small_model, schedule):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
+    doc = json.loads(path.read_text())
+    doc["schedule"]["num_timesteps"] = 9
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="ck.json.*9 timesteps.*8 rows"):
+        load_checkpoint(path)
+
+
 def test_non_finite_params_rejected(tmp_path, small_model, schedule):
     path = tmp_path / "ck.json"
     params = small_model.params.copy()

@@ -341,6 +341,46 @@ class TestExitCodes:
         assert rc == 1
         assert "config error: unlearn." in capsys.readouterr().err
 
+    def test_non_finite_config_value_exits_one(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(
+            [
+                "train",
+                "--config",
+                str(cfg_path),
+                "--out",
+                str(out),
+                "--set",
+                "pretrain.lr=NaN",
+            ]
+        )
+        assert rc == 1
+        assert "config error: field 'pretrain.lr' must be finite" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_schedule_differing_from_checkpoint_is_config_error(
+        self, trained, cfg_path, capsys
+    ):
+        before = sorted(trained.iterdir())
+        rc = main(
+            [
+                "unlearn",
+                "--config",
+                str(cfg_path),
+                "--out",
+                str(trained),
+                "--set",
+                "schedule.num_timesteps=6",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: config schedule" in err
+        assert "num_timesteps=6" in err and "num_timesteps=8" in err
+        assert sorted(trained.iterdir()) == before
+
     def test_non_finite_eval_report_exits_two(
         self, trained, cfg_path, capsys, monkeypatch
     ):

@@ -74,6 +74,15 @@ def test_scalar_type_checked():
         ({"unlearn": {"iterations": True}}, r"unlearn\.iterations"),
         ({"unlearn": {"loss_cap": True}}, r"unlearn\.loss_cap"),
         ({"sweep": {"loss_cap_scales": ["x"]}}, r"sweep\.loss_cap_scales\[0\]"),
+        ({"pretrain": {"lr": float("nan")}}, r"pretrain\.lr"),
+        ({"unlearn": {"step_size": float("nan")}}, r"unlearn\.step_size"),
+        ({"mixture": {"sigma": float("nan")}}, r"mixture\.sigma"),
+        ({"eval": {"bandwidth": float("inf")}}, r"eval\.bandwidth"),
+        ({"unlearn": {"loss_cap": float("-inf")}}, r"unlearn\.loss_cap"),
+        (
+            {"sweep": {"forget_weights": [1.0, float("nan")]}},
+            r"sweep\.forget_weights\[1\]",
+        ),
     ],
     ids=lambda v: str(v)[:40],
 )

@@ -8,12 +8,14 @@ import pytest
 from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import (
     NoisePredictor,
+    backward_from_activations,
+    forward_activations,
     init_model,
     mlp_forward,
     param_count,
     squared_error_backward,
 )
-from gradcheck import finite_diff_grad, mean_squared_error
+from gradcheck import add_at_backward, finite_diff_grad, mean_squared_error
 
 
 def tiny_model():
@@ -263,6 +265,45 @@ class TestBackward:
         l2, g2 = squared_error_backward(model, x, targets, t, c)
         assert np.array_equal(l1, l2)
         assert np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "one_timestep_one_class",
+        "batch_1",
+        "batch_1000",
+        "one_hidden_layer",
+        "zero_weight_rows",
+        "unconditional_rows",
+    ],
+)
+def test_embedding_scatter_matches_add_at_oracle(case):
+    # The table gradients must equal np.add.at's byte for byte: same
+    # summands, same batch order, same 0.0 start.
+    rng = np.random.default_rng(17)
+    hidden = (64,) if case == "one_hidden_layer" else (64, 64)
+    batch = {"batch_1": 1, "batch_1000": 1000}.get(case, 128)
+    model = init_model(2, hidden, num_classes=5, num_timesteps=100, rng=rng)
+    model = model.with_params(
+        model.params + 0.1 * rng.standard_normal(model.num_params)
+    )
+    x = rng.standard_normal((batch, 2))
+    targets = rng.standard_normal((batch, 2))
+    t = rng.integers(1, 101, size=batch)
+    c = rng.integers(0, 5, size=batch)
+    weights = np.full(batch, 1.0 / batch)
+    if case == "one_timestep_one_class":
+        t[:], c[:] = 37, 2
+    elif case == "zero_weight_rows":
+        # Rows past the loss cap carry weight 0 in the forgetting loss.
+        weights[rng.random(batch) < 0.5] = 0.0
+    elif case == "unconditional_rows":
+        c = None
+    acts, t_rows, c_rows = forward_activations(model, x, t, c)
+    grad = backward_from_activations(model, acts, targets, t_rows, c_rows, weights)
+    ref = add_at_backward(model, acts, targets, t_rows, c_rows, weights)
+    assert grad.tobytes() == ref.tobytes()
 
 
 class TestFiniteDiffOracle:

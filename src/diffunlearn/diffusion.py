@@ -54,14 +54,6 @@ class NoiseSchedule:
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alpha_bars", alpha_bars)
 
-    def beta(self, t: int) -> float:
-        """beta_t for a 1-based timestep."""
-        return float(self.betas[t - 1])
-
-    def alpha_bar(self, t: int) -> float:
-        """alpha_bar_t for a 1-based timestep."""
-        return float(self.alpha_bars[t - 1])
-
 
 @dataclass(frozen=True)
 class SamplerOutput:
@@ -155,8 +147,8 @@ def ddpm_sample(
     gen, seed = as_generator(rng)
     x = gen.standard_normal((n, model.input_dim))
     for t in range(schedule.num_timesteps, 0, -1):
-        beta = schedule.beta(t)
-        abar = schedule.alpha_bar(t)
+        beta = schedule.betas[t - 1]
+        abar = schedule.alpha_bars[t - 1]
         eps_hat = mlp_forward(model, x, t, class_id)
         mu = (x - (beta / np.sqrt(1.0 - abar)) * eps_hat) / np.sqrt(1.0 - beta)
         if t > 1:

@@ -13,9 +13,7 @@ estimate against fresh true-mixture draws, standing in for FID.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -109,11 +107,15 @@ def classify_points(points, spec: MixtureSpec, none_threshold: float) -> np.ndar
 
 
 def median_bandwidth(reference) -> float:
-    """Median pairwise distance of the reference sample."""
+    """Median pairwise distance of the reference sample.
+
+    Peak memory is one buffer of the n(n-1)/2 distances: the median selects
+    in place in it.
+    """
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[0] < 2:
         raise DomainError("median bandwidth needs at least 2 reference points")
-    bw = float(np.median(pdist(reference)))
+    bw = float(np.median(pdist(reference), overwrite_input=True))
     if bw == 0.0:
         raise DomainError("reference sample has zero median pairwise distance")
     return bw
@@ -126,6 +128,9 @@ def mmd(a, b, bandwidth: float) -> float:
     the diagonal (U-statistic), so the estimate can be negative near the
     null. The two arguments are ordered canonically before reduction, making
     mmd(a, b) and mmd(b, a) bit-identical.
+
+    Peak memory is one distance buffer, the |a|x|b| cross distances: each
+    kernel sum scales and exponentiates its own distances in place.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -140,14 +145,16 @@ def mmd(a, b, bandwidth: float) -> float:
         first, second = b, a
     gamma = 1.0 / (2.0 * bandwidth**2)
 
+    def kernel_sum(sq):
+        sq *= -gamma
+        return float(np.sum(np.exp(sq, out=sq)))
+
     def within(x):
-        sq = pdist(x, "sqeuclidean")
         m = x.shape[0]
         # pdist covers each unordered pair once; the symmetric sum doubles it.
-        return 2.0 * float(np.sum(np.exp(-gamma * sq))) / (m * (m - 1))
+        return 2.0 * kernel_sum(pdist(x, "sqeuclidean")) / (m * (m - 1))
 
-    cross_sq = cdist(first, second, "sqeuclidean")
-    cross = float(np.sum(np.exp(-gamma * cross_sq)))
+    cross = kernel_sum(cdist(first, second, "sqeuclidean"))
     cross *= 2.0 / (first.shape[0] * second.shape[0])
     return within(first) + within(second) - cross
 
@@ -218,8 +225,3 @@ def full_eval(
 
 def save_eval_report(report: EvalReport, path) -> None:
     artifacts.write_json(path, report.to_dict(), indent=2)
-
-
-def load_eval_report(path) -> EvalReport:
-    raw = json.loads(Path(path).read_text())
-    return EvalReport(**raw)

@@ -161,28 +161,36 @@ def init_model(
 
 def _timestep_rows(num_timesteps: int, t, batch: int) -> np.ndarray:
     """0-based table rows for 1-based timesteps, scalar or one per sample."""
+    message = f"timesteps must lie in 1..{num_timesteps}"
     t = np.asarray(t)
     if t.ndim == 0:
-        t = np.full(batch, int(t))
+        t = int(t)
+        if not 1 <= t <= num_timesteps:
+            raise DomainError(message)
+        return np.full(batch, t - 1, dtype=np.int64)
     if t.shape != (batch,):
         raise ShapeError(f"timesteps have shape {t.shape}, expected ({batch},)")
     t = t.astype(np.int64)
     if np.any(t < 1) or np.any(t > num_timesteps):
-        raise DomainError(f"timesteps must lie in 1..{num_timesteps}")
+        raise DomainError(message)
     return t - 1
 
 
 def _class_rows(model: NoisePredictor, class_id, batch: int) -> np.ndarray:
     if class_id is None:
         return np.full(batch, model.num_classes, dtype=np.int64)
+    message = f"class ids must lie in 0..{model.num_classes - 1}"
     c = np.asarray(class_id)
     if c.ndim == 0:
-        c = np.full(batch, int(c))
+        c = int(c)
+        if not 0 <= c < model.num_classes:
+            raise DomainError(message)
+        return np.full(batch, c, dtype=np.int64)
     if c.shape != (batch,):
         raise ShapeError(f"class ids have shape {c.shape}, expected ({batch},)")
     c = c.astype(np.int64)
     if np.any(c < 0) or np.any(c >= model.num_classes):
-        raise DomainError(f"class ids must lie in 0..{model.num_classes - 1}")
+        raise DomainError(message)
     return c
 
 
@@ -191,8 +199,13 @@ def forward_activations(model: NoisePredictor, x, t, class_id):
 
     Returns (activations, t_rows, c_rows) where activations[0] is the input,
     activations[k] the k-th hidden tanh output and activations[-1] the linear
-    network output. Used by the backward pass; most callers want
-    :func:`mlp_forward`.
+    network output; t_rows and c_rows hold one table row per sample. Used by
+    the backward pass; most callers want :func:`mlp_forward`.
+
+    Each layer is built in one buffer, adding bias and table terms in place
+    in a fixed order. A scalar timestep or class (or None) adds its one table
+    row by broadcasting; per-sample arrays gather a row per sample. Both give
+    the same bytes.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -204,12 +217,18 @@ def forward_activations(model: NoisePredictor, x, t, class_id):
     c_rows = _class_rows(model, class_id, batch)
     weights, biases, time_table, class_table = model.unpack()
 
-    acts = [x]
-    pre = x @ weights[0].T + biases[0] + time_table[t_rows] + class_table[c_rows]
-    acts.append(np.tanh(pre))
+    pre = x @ weights[0].T
+    pre += biases[0]
+    pre += time_table[t_rows if np.ndim(t) else t_rows[:1]]
+    pre += class_table[c_rows if np.ndim(class_id) else c_rows[:1]]
+    acts = [x, np.tanh(pre, out=pre)]
     for w, b in zip(weights[1:-1], biases[1:-1]):
-        acts.append(np.tanh(acts[-1] @ w.T + b))
-    acts.append(acts[-1] @ weights[-1].T + biases[-1])
+        pre = acts[-1] @ w.T
+        pre += b
+        acts.append(np.tanh(pre, out=pre))
+    out = acts[-1] @ weights[-1].T
+    out += biases[-1]
+    acts.append(out)
     return acts, t_rows, c_rows
 
 

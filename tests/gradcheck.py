@@ -1,7 +1,11 @@
-"""Gradient oracles shared by the gradient tests: central differences and the
-reference ``np.add.at`` backward pass."""
+"""Oracles shared by the tests: central differences, the reference
+``np.add.at`` backward pass, out-of-place references for the forward pass and
+the kernel statistics, and a peak-allocation probe."""
+
+import tracemalloc
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
 from diffunlearn.errors import DomainError
 from diffunlearn.nn import _layer_offsets, mlp_forward
@@ -57,3 +61,66 @@ def add_at_backward(model, acts, targets, t_rows, c_rows, sample_weights):
     np.add.at(grad[t_off:c_off].reshape(model.num_timesteps, h0), t_rows, delta)
     np.add.at(grad[c_off:].reshape(model.num_classes + 1, h0), c_rows, delta)
     return grad
+
+
+def gathered_forward(model, x, t, class_id):
+    """Reference for ``nn.forward_activations``: every table term gathered
+    row by row and each layer built by chained out-of-place operations.
+    Valid inputs only."""
+    x = np.asarray(x, dtype=np.float64)
+    batch = x.shape[0]
+    t_rows = np.broadcast_to(np.asarray(t), (batch,)).astype(np.int64) - 1
+    c = model.num_classes if class_id is None else class_id
+    c_rows = np.broadcast_to(np.asarray(c), (batch,)).astype(np.int64)
+    weights, biases, time_table, class_table = model.unpack()
+    acts = [x]
+    pre = x @ weights[0].T + biases[0] + time_table[t_rows] + class_table[c_rows]
+    acts.append(np.tanh(pre))
+    for w, b in zip(weights[1:-1], biases[1:-1]):
+        acts.append(np.tanh(acts[-1] @ w.T + b))
+    acts.append(acts[-1] @ weights[-1].T + biases[-1])
+    return acts, t_rows, c_rows
+
+
+def full_matrix_mmd(a, b, bandwidth):
+    """Reference for ``evaluate.mmd``: the same canonical argument order and
+    sums, each kernel matrix built out of place."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    first, second = a, b
+    if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
+        first, second = b, a
+    gamma = 1.0 / (2.0 * bandwidth**2)
+
+    def within(x):
+        sq = pdist(x, "sqeuclidean")
+        m = x.shape[0]
+        return 2.0 * float(np.sum(np.exp(-gamma * sq))) / (m * (m - 1))
+
+    cross_sq = cdist(first, second, "sqeuclidean")
+    cross = float(np.sum(np.exp(-gamma * cross_sq)))
+    cross *= 2.0 / (first.shape[0] * second.shape[0])
+    return within(first) + within(second) - cross
+
+
+def copied_median_bandwidth(reference):
+    """Reference for ``evaluate.median_bandwidth``: the median of a copy."""
+    return float(np.median(pdist(np.asarray(reference, dtype=np.float64))))
+
+
+def peak_allocation(fn, *args):
+    """Bytes by which ``fn(*args)`` raised traced memory above its start.
+
+    numpy reports its data buffers to tracemalloc, so this counts arrays.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

@@ -14,7 +14,7 @@ from diffunlearn.diffusion import (
 )
 from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import init_model, param_count, NoisePredictor
-from gradcheck import finite_diff_grad
+from gradcheck import finite_diff_grad, peak_allocation
 
 
 class TestMakeSchedule:
@@ -216,6 +216,15 @@ class TestDdpmSample:
         model = init_model(2, (4,), 1, 2, np.random.default_rng(0))
         with pytest.raises(DomainError):
             ddpm_sample(model, 0, 0, sched, 1)
+
+    def test_peak_allocation_is_the_live_hidden_layers(self):
+        # A step holds at most the hidden activations it is building; the
+        # table terms add one broadcast row, not n gathered copies.
+        hidden, n = (64, 64), 2000
+        sched = NoiseSchedule(5, 0.05, 0.3)
+        model = init_model(2, hidden, 3, 5, np.random.default_rng(3))
+        peak = peak_allocation(ddpm_sample, model, 1, n, sched, 9)
+        assert peak <= (len(hidden) + 0.5) * n * hidden[0] * 8
 
     def test_trained_single_class_matches_mean(self):
         # End-to-end statistical check: fit one Gaussian blob, then the

@@ -1,5 +1,7 @@
 """Tests for oracle classification, UA/RA, and the kernel two-sample metric."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,12 @@ from diffunlearn.evaluate import (
     EvalReport,
     classify_points,
     full_eval,
-    load_eval_report,
     median_bandwidth,
     mmd,
     save_eval_report,
 )
 from diffunlearn.nn import init_model
+from gradcheck import copied_median_bandwidth, full_matrix_mmd, peak_allocation
 
 
 def two_blob_spec():
@@ -189,6 +191,35 @@ class TestMmd:
         with pytest.raises(DomainError):
             mmd(np.zeros((5, 2)), np.zeros((5, 2)), 0.0)
 
+    def test_matches_full_matrix_reference(self):
+        # In-place kernel sums must give the out-of-place float exactly, for
+        # unequal set sizes and either argument order.
+        g = np.random.default_rng(8)
+        a = g.standard_normal((300, 2))
+        b = 0.5 + g.standard_normal((410, 2))
+        assert mmd(a, b, 0.9) == full_matrix_mmd(a, b, 0.9)
+        assert mmd(b, a, 0.9) == full_matrix_mmd(b, a, 0.9)
+
+    @pytest.mark.parametrize("n", [200, 202])
+    def test_median_bandwidth_matches_copied_median(self, n):
+        # 19,900 pairs (even: mean of the two middle values) and 20,301
+        # (odd: the middle value).
+        points = np.random.default_rng(n).standard_normal((n, 2))
+        assert median_bandwidth(points) == copied_median_bandwidth(points)
+
+    def test_mmd_peak_allocation_is_one_cross_buffer(self):
+        g = np.random.default_rng(12)
+        a = g.standard_normal((2000, 2))
+        b = g.standard_normal((2000, 2))
+        peak = peak_allocation(mmd, a, b, 1.0)
+        assert peak <= 1.1 * 8 * len(a) * len(b)
+
+    def test_median_bandwidth_peak_allocation_is_one_distance_buffer(self):
+        n = 2000
+        points = np.random.default_rng(13).standard_normal((n, 2))
+        peak = peak_allocation(median_bandwidth, points)
+        assert peak <= 1.1 * 8 * n * (n - 1) // 2
+
     def test_median_bandwidth_needs_spread(self):
         with pytest.raises(DomainError):
             median_bandwidth(np.zeros((10, 2)))
@@ -256,4 +287,4 @@ class TestFullEval:
         )
         path = tmp_path / "report.json"
         save_eval_report(report, path)
-        assert load_eval_report(path) == report
+        assert EvalReport(**json.loads(path.read_text())) == report

@@ -15,7 +15,12 @@ from diffunlearn.nn import (
     param_count,
     squared_error_backward,
 )
-from gradcheck import add_at_backward, finite_diff_grad, mean_squared_error
+from gradcheck import (
+    add_at_backward,
+    finite_diff_grad,
+    gathered_forward,
+    mean_squared_error,
+)
 
 
 def tiny_model():
@@ -304,6 +309,46 @@ def test_embedding_scatter_matches_add_at_oracle(case):
     grad = backward_from_activations(model, acts, targets, t_rows, c_rows, weights)
     ref = add_at_backward(model, acts, targets, t_rows, c_rows, weights)
     assert grad.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "scalar_t_and_class",
+        "per_row_arrays",
+        "unconditional",
+        "one_hidden_layer",
+        "three_hidden_layers",
+        "batch_1",
+    ],
+)
+def test_forward_matches_gathered_reference(case):
+    # In-place layers and broadcast table rows must give the bytes of the
+    # out-of-place forward with one gathered table row per sample.
+    rng = np.random.default_rng(23)
+    hidden = {"one_hidden_layer": (64,), "three_hidden_layers": (64, 32, 48)}
+    model = init_model(
+        2, hidden.get(case, (64, 64)), num_classes=5, num_timesteps=100, rng=rng
+    )
+    model = model.with_params(
+        model.params + 0.1 * rng.standard_normal(model.num_params)
+    )
+    batch = 1 if case == "batch_1" else 300
+    x = rng.standard_normal((batch, 2))
+    t, c = 37, 2
+    if case == "per_row_arrays":
+        t = rng.integers(1, 101, size=batch)
+        c = rng.integers(0, 5, size=batch)
+    elif case == "unconditional":
+        c = None
+    acts, t_rows, c_rows = forward_activations(model, x, t, c)
+    ref_acts, ref_t, ref_c = gathered_forward(model, x, t, c)
+    assert len(acts) == len(ref_acts)
+    for got, want in zip(acts, ref_acts):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert t_rows.tobytes() == ref_t.tobytes()
+    assert c_rows.tobytes() == ref_c.tobytes()
 
 
 class TestFiniteDiffOracle:

@@ -46,10 +46,10 @@ class EvalConfig:
     def __post_init__(self):
         if self.n_per_condition < 1:
             raise DomainError("n_per_condition must be >= 1")
-        if self.none_threshold <= 0.0:
+        if not self.none_threshold > 0.0:
             raise DomainError("none_threshold must be > 0")
-        if self.bandwidth is not None and self.bandwidth <= 0.0:
-            raise DomainError("bandwidth must be > 0")
+        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
+            raise DomainError("bandwidth must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def classify_points(points, spec: MixtureSpec, none_threshold: float) -> np.ndar
     none_threshold * sigma from every mean is -1, and so is any point with a
     non-finite coordinate.
     """
-    if none_threshold <= 0.0:
+    if not none_threshold > 0.0:
         raise DomainError("none_threshold must be > 0")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dists = cdist(points, spec.means)
@@ -106,19 +106,137 @@ def classify_points(points, spec: MixtureSpec, none_threshold: float) -> np.ndar
     return labels
 
 
-def median_bandwidth(reference) -> float:
-    """Median pairwise distance of the reference sample.
+# Distances per streamed block: 2**19 float64 values, 4 MiB. Sized by element
+# count, so a block stays the same size whatever the sample count.
+_BLOCK = 1 << 19
+# Each counting pass of the streamed median splits its window of float64 bit
+# patterns into at most 2**_HIST_BITS equal bins.
+_HIST_BITS = 16
 
-    Peak memory is one buffer of the n(n-1)/2 distances: the median selects
-    in place in it.
+
+def _cross_blocks(x, y, metric):
+    """Distances of every row of x to every row of y, in blocks of at most
+    _BLOCK values: row blocks of x in order, each split into column tiles of
+    y only when a single row exceeds _BLOCK."""
+    rows = max(1, _BLOCK // max(1, len(y)))
+    for i in range(0, len(x), rows):
+        for j in range(0, len(y), _BLOCK):
+            yield cdist(x[i : i + rows], y[j : j + _BLOCK], metric)
+
+
+def _within_blocks(x, metric):
+    """Each unordered pair's distance once, in blocks of at most _BLOCK values.
+
+    Rows are taken in order. A block of rows i0:i1 yields pdist(x[i0:i1]) and
+    then the rectangle cdist(x[i0:i1], x[i1:]); the row count keeps the two
+    together within _BLOCK, and a set whose pdist fits in one block is yielded
+    as pdist(x) alone.
+    """
+    start, m = 0, len(x)
+    while start < m:
+        left = m - start
+        if left * (left - 1) // 2 <= _BLOCK:
+            rows = left
+        else:
+            rows = max(1, _BLOCK // (left - 1))
+        stop = start + rows
+        yield pdist(x[start:stop], metric)
+        yield from _cross_blocks(x[start:stop], x[stop:], metric)
+        start = stop
+
+
+def median_bandwidth(reference) -> float:
+    """Median pairwise distance of the reference sample, exactly
+    ``np.median(pdist(reference))``.
+
+    The distances stream through _within_blocks in counting passes (see
+    _middle_distances). Peak memory is one block of distances plus at most
+    one block of gathered values, whatever the sample count.
     """
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[0] < 2:
         raise DomainError("median bandwidth needs at least 2 reference points")
-    bw = float(np.median(pdist(reference), overwrite_input=True))
-    if bw == 0.0:
-        raise DomainError("reference sample has zero median pairwise distance")
+    if not np.all(np.isfinite(reference)):
+        raise DomainError("reference sample has a non-finite coordinate")
+    # np.median takes the mean of the middle one or two values.
+    bw = float(np.mean(_middle_distances(reference)))
+    if not 0.0 < bw < np.inf:
+        raise DomainError(
+            f"reference sample's median pairwise distance must be finite and > 0, got {bw}"
+        )
     return bw
+
+
+def _middle_distances(x):
+    """The middle one (odd pair count) or two (even) of x's sorted pairwise
+    distances, by counting passes over _within_blocks.
+
+    A non-negative float64 orders as its bit pattern read as an int64. The
+    search keeps a window of patterns, at first all of them, known to hold
+    the middle ranks. Each counting pass splits the window into at most
+    2**_HIST_BITS equal bins and keeps the bin holding the middle ranks, so
+    the window only narrows. Once it holds at most one block of values, a
+    last pass gathers them and ``np.partition`` picks the middle ranks. A
+    window of one pattern is a single value, so no gathering pass is needed;
+    two middle ranks in different bins are the largest value below the upper
+    bin and the smallest in it, which one pass finds.
+    """
+    m = len(x)
+    pairs = m * (m - 1) // 2
+    ranks = np.unique([(pairs - 1) // 2, pairs // 2])
+
+    def each_block(fn):
+        # map drops each block before the next one is computed.
+        return map(fn, _within_blocks(x, "euclidean"))
+
+    lo, width, below, inside = 0, 1 << 63, 0, pairs
+    while inside > _BLOCK:
+        shift = max(0, width.bit_length() - 1 - _HIST_BITS)
+        nbins = width >> shift
+
+        def histogram(block):
+            # Bin 0 counts the values below the window, bin nbins + 1 those above.
+            bins = block.reshape(-1).view(np.int64)
+            bins -= lo
+            bins >>= shift
+            np.clip(bins, -1, nbins, out=bins)
+            bins += 1
+            return np.bincount(bins, minlength=nbins + 2)
+
+        counts = np.zeros(nbins + 2, dtype=np.int64)
+        for part in each_block(histogram):
+            counts += part
+        cum = np.cumsum(counts)
+        first, last = np.searchsorted(cum, ranks[[0, -1]], side="right")
+        starts = lo + ((np.array([first, last]) - 1) << shift)
+        if shift == 0:
+            return starts[: len(ranks)].view(np.float64)
+        if first != last:
+            # Adjacent ranks; the bins between theirs are empty.
+            edge = starts[1:].view(np.float64)[0]
+
+            def ends(block):
+                return (
+                    np.max(block, where=block < edge, initial=0.0),
+                    np.min(block, where=block >= edge, initial=np.inf),
+                )
+
+            lower, upper = zip(*each_block(ends))
+            return np.array([max(lower), min(upper)])
+        lo, width = int(starts[0]), 1 << shift
+        below, inside = int(cum[first - 1]), int(counts[first])
+    kept, filled = np.empty(inside), 0
+    for block in _within_blocks(x, "euclidean"):
+        flat = block.reshape(-1)
+        bits = flat.view(np.int64)
+        keep = (bits >= lo) & (bits <= lo + width - 1)
+        n = int(np.count_nonzero(keep))
+        np.compress(keep, flat, out=kept[filled : filled + n])
+        filled += n
+        del block, flat, bits, keep  # before the next block is computed
+    kth = ranks - below
+    kept.partition(kth)
+    return kept[kth]
 
 
 def mmd(a, b, bandwidth: float) -> float:
@@ -129,8 +247,13 @@ def mmd(a, b, bandwidth: float) -> float:
     null. The two arguments are ordered canonically before reduction, making
     mmd(a, b) and mmd(b, a) bit-identical.
 
-    Peak memory is one distance buffer, the |a|x|b| cross distances: each
-    kernel sum scales and exponentiates its own distances in place.
+    Each of the three kernel sums (cross, within the first set, within the
+    second) streams its squared distances in the blocks of _cross_blocks and
+    _within_blocks, at most _BLOCK values (4 MiB) each. Every block is scaled
+    and exponentiated in place and reduced by ``np.sum``; the block sums are
+    added into a Python float in block order. Peak memory is therefore one
+    block whatever the sample count, and no step uses BLAS. A set whose
+    distances fit in one block reduces as the whole matrix would.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -138,23 +261,29 @@ def mmd(a, b, bandwidth: float) -> float:
         raise DomainError("sample sets must be 2-D arrays")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise DomainError("unbiased estimator needs >= 2 points per set")
-    if bandwidth <= 0.0:
-        raise DomainError("bandwidth must be > 0")
+    if not 0.0 < bandwidth < np.inf:
+        raise DomainError(f"bandwidth must be finite and > 0, got {bandwidth}")
     first, second = a, b
     if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
         first, second = b, a
     gamma = 1.0 / (2.0 * bandwidth**2)
 
-    def kernel_sum(sq):
+    def block_sum(sq):
         sq *= -gamma
         return float(np.sum(np.exp(sq, out=sq)))
 
+    def kernel_sum(blocks):
+        total = 0.0
+        for part in map(block_sum, blocks):
+            total += part
+        return total
+
     def within(x):
         m = x.shape[0]
-        # pdist covers each unordered pair once; the symmetric sum doubles it.
-        return 2.0 * kernel_sum(pdist(x, "sqeuclidean")) / (m * (m - 1))
+        # Each unordered pair appears once; the symmetric sum doubles it.
+        return 2.0 * kernel_sum(_within_blocks(x, "sqeuclidean")) / (m * (m - 1))
 
-    cross = kernel_sum(cdist(first, second, "sqeuclidean"))
+    cross = kernel_sum(_cross_blocks(first, second, "sqeuclidean"))
     cross *= 2.0 / (first.shape[0] * second.shape[0])
     return within(first) + within(second) - cross
 

@@ -82,9 +82,9 @@ def gathered_forward(model, x, t, class_id):
     return acts, t_rows, c_rows
 
 
-def full_matrix_mmd(a, b, bandwidth):
-    """Reference for ``evaluate.mmd``: the same canonical argument order and
-    sums, each kernel matrix built out of place."""
+def full_matrix_mmd_terms(a, b, bandwidth):
+    """The three terms of ``full_matrix_mmd`` after canonical ordering:
+    (within the first set, within the second, cross)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     first, second = a, b
@@ -100,7 +100,14 @@ def full_matrix_mmd(a, b, bandwidth):
     cross_sq = cdist(first, second, "sqeuclidean")
     cross = float(np.sum(np.exp(-gamma * cross_sq)))
     cross *= 2.0 / (first.shape[0] * second.shape[0])
-    return within(first) + within(second) - cross
+    return within(first), within(second), cross
+
+
+def full_matrix_mmd(a, b, bandwidth):
+    """Reference for ``evaluate.mmd``: the same canonical argument order and
+    sums, each kernel matrix built out of place and reduced whole."""
+    within_first, within_second, cross = full_matrix_mmd_terms(a, b, bandwidth)
+    return within_first + within_second - cross
 
 
 def copied_median_bandwidth(reference):

@@ -448,6 +448,30 @@ def test_unlearn_bytes_independent_of_blas_threads(tmp_path):
     assert [name for name in sorted(one) if one[name] != two[name]] == []
 
 
+def test_eval_bytes_independent_of_blas_threads(tmp_path):
+    # 300 per condition over the 4 retained classes: the 1200x1200 cross
+    # distances take three blocks and each within-set and the median two.
+    overrides = ["--set", "pretrain.steps=5", "--set", "eval.n_per_condition=300"]
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        for command in ("train", "eval"):
+            result = subprocess.run(
+                [sys.executable, "-m", "diffunlearn", command, "--out", str(out)]
+                + overrides,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    one, two = runs
+    assert sorted(one) == sorted(two)
+    assert {"eval_pretrained.json", "eval_pretrained.csv"} <= set(one)
+    assert [name for name in sorted(one) if one[name] != two[name]] == []
+
+
 def test_module_invocation(tmp_path, cfg_path):
     result = subprocess.run(
         [

@@ -19,7 +19,15 @@ from diffunlearn.evaluate import (
     save_eval_report,
 )
 from diffunlearn.nn import init_model
-from gradcheck import copied_median_bandwidth, full_matrix_mmd, peak_allocation
+from gradcheck import (
+    copied_median_bandwidth,
+    full_matrix_mmd,
+    full_matrix_mmd_terms,
+    peak_allocation,
+)
+
+
+BLOCK_BYTES = 8 * evaluate_mod._BLOCK
 
 
 def two_blob_spec():
@@ -80,6 +88,18 @@ class TestOracleClassify:
     def test_bad_threshold_rejected(self):
         with pytest.raises(DomainError):
             classify_points(np.zeros((1, 2)), circle_mixture(), 0.0)
+
+    def test_nan_threshold_rejected(self):
+        # A NaN cutoff would label every point "none", scoring UA as 1.
+        with pytest.raises(DomainError):
+            classify_points(np.zeros((1, 2)), circle_mixture(), np.nan)
+        with pytest.raises(DomainError):
+            EvalConfig(none_threshold=np.nan)
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0])
+    def test_eval_config_rejects_bad_bandwidth(self, bandwidth):
+        with pytest.raises(DomainError):
+            EvalConfig(bandwidth=bandwidth)
 
 
 class TestAccuracies:
@@ -207,24 +227,174 @@ class TestMmd:
         points = np.random.default_rng(n).standard_normal((n, 2))
         assert median_bandwidth(points) == copied_median_bandwidth(points)
 
-    def test_mmd_peak_allocation_is_one_cross_buffer(self):
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_mmd_peak_allocation_is_bounded_by_blocks(self, n):
+        # The same bound at both sizes: peak memory is a block, not |a|x|b|.
         g = np.random.default_rng(12)
-        a = g.standard_normal((2000, 2))
-        b = g.standard_normal((2000, 2))
+        a = g.standard_normal((n, 2))
+        b = g.standard_normal((n, 2))
         peak = peak_allocation(mmd, a, b, 1.0)
-        assert peak <= 1.1 * 8 * len(a) * len(b)
+        assert peak <= 1.5 * BLOCK_BYTES
 
-    def test_median_bandwidth_peak_allocation_is_one_distance_buffer(self):
-        n = 2000
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_median_bandwidth_peak_allocation_is_bounded_by_blocks(self, n):
         points = np.random.default_rng(13).standard_normal((n, 2))
         peak = peak_allocation(median_bandwidth, points)
-        assert peak <= 1.1 * 8 * n * (n - 1) // 2
+        assert peak <= 2.5 * BLOCK_BYTES
 
     def test_median_bandwidth_needs_spread(self):
         with pytest.raises(DomainError):
             median_bandwidth(np.zeros((10, 2)))
         with pytest.raises(DomainError):
             median_bandwidth(np.zeros((1, 2)))
+
+    def test_non_finite_bandwidth_rejected(self):
+        pts = np.random.default_rng(14).standard_normal((5, 2))
+        for bandwidth in (np.nan, np.inf, -1.0):
+            with pytest.raises(DomainError):
+                mmd(pts, pts, bandwidth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_median_bandwidth_rejects_non_finite_reference(self, bad):
+        points = np.random.default_rng(15).standard_normal((10, 2))
+        points[7, 1] = bad
+        with pytest.raises(DomainError):
+            median_bandwidth(points)
+
+
+class TestStreamedMmd:
+    """mmd over several blocks against the whole-matrix reference.
+
+    The block sums change the reduction order, so these hold the streamed
+    value to 1e-12 of the three terms' magnitudes: the terms nearly cancel,
+    and rounding scales with them, not with their difference.
+    """
+
+    @staticmethod
+    def assert_close(a, b, bandwidth):
+        terms = full_matrix_mmd_terms(a, b, bandwidth)
+        scale = sum(abs(t) for t in terms)
+        assert abs(mmd(a, b, bandwidth) - full_matrix_mmd(a, b, bandwidth)) <= 1e-12 * scale
+
+    def test_unequal_sizes_both_orders(self):
+        # Cross 1100x800 takes two row blocks, the 1100-point within-set two
+        # blocks, the 800-point within-set one.
+        g = np.random.default_rng(16)
+        a = g.standard_normal((1100, 2))
+        b = 0.5 + g.standard_normal((800, 2))
+        self.assert_close(a, b, 0.9)
+        self.assert_close(b, a, 0.9)
+        assert mmd(a, b, 0.9) == mmd(b, a, 0.9)
+
+    def test_near_null_both_orders(self):
+        g = np.random.default_rng(17)
+        a = g.standard_normal((1200, 2))
+        b = g.standard_normal((1150, 2))
+        self.assert_close(a, b, 1.1)
+        self.assert_close(b, a, 1.1)
+        assert mmd(a, b, 1.1) == mmd(b, a, 1.1)
+
+    def test_one_row_blocks_and_column_tiles(self, monkeypatch):
+        # With 64 values a block, the 66-point set starts with one-row blocks
+        # whose 65-column rectangle is tiled 64 + 1, and the 130-point cross
+        # rows are tiled 64 + 64 + 2.
+        monkeypatch.setattr(evaluate_mod, "_BLOCK", 64)
+        g = np.random.default_rng(18)
+        a = g.standard_normal((66, 2))
+        b = 0.3 + g.standard_normal((130, 2))
+        self.assert_close(a, b, 0.8)
+        self.assert_close(b, a, 0.8)
+        assert mmd(a, b, 0.8) == mmd(b, a, 0.8)
+
+    @pytest.mark.parametrize("nan_in", ["generated", "reference"])
+    def test_nan_row_in_last_block_gives_nan(self, nan_in):
+        g = np.random.default_rng(19)
+        generated = g.standard_normal((1100, 2))
+        reference = g.standard_normal((1000, 2))
+        target = generated if nan_in == "generated" else reference
+        target[-1, 0] = np.nan
+        assert np.isnan(mmd(generated, reference, 1.0))
+        assert np.isnan(mmd(reference, generated, 1.0))
+
+
+class TestStreamedMedian:
+    """median_bandwidth is np.median(pdist(x)) exactly, over several blocks.
+
+    At the real block size (2**19 values) a set needs 1025 points or more to
+    take more than one block.
+    """
+
+    @staticmethod
+    def passes(monkeypatch, points):
+        """(value, number of passes over the distances) of median_bandwidth."""
+        calls = []
+        original = evaluate_mod._within_blocks
+
+        def counting(x, metric):
+            calls.append(metric)
+            return original(x, metric)
+
+        monkeypatch.setattr(evaluate_mod, "_within_blocks", counting)
+        return median_bandwidth(points), len(calls)
+
+    @pytest.mark.parametrize(
+        "m", [2, 3, 1026, 2000], ids=["m2", "m3", "odd-pairs", "even-pairs"]
+    )
+    def test_random_points(self, monkeypatch, m):
+        # 1026 points give 525,825 pairs (odd), 2000 give 1,999,000 (even).
+        points = np.random.default_rng(m).standard_normal((m, 2))
+        value, passes = self.passes(monkeypatch, points)
+        assert value == copied_median_bandwidth(points)
+        assert passes == (1 if m < 1025 else 2)
+
+    def test_repeated_points(self, monkeypatch):
+        points = np.repeat(np.random.default_rng(20).standard_normal((250, 2)), 8, axis=0)
+        value, _ = self.passes(monkeypatch, points)
+        assert value == copied_median_bandwidth(points)
+
+    def test_middle_value_held_by_more_than_a_block(self, monkeypatch):
+        # Two groups of 750 on a line: 562,500 pairs at distance 1, more than
+        # a block, hold both middle ranks. The window narrows to that one
+        # value, which is the answer without a gathering pass.
+        points = np.zeros((1500, 1))
+        points[750:] = 1.0
+        value, passes = self.passes(monkeypatch, points)
+        assert value == copied_median_bandwidth(points) == 1.0
+        assert passes > 2
+
+    def test_middle_ranks_split_between_two_values(self, monkeypatch):
+        # 561 and 528 points: 296,208 zero distances and as many ones, so the
+        # even pair count's two middle ranks are 0 and 1.
+        points = np.zeros((1089, 1))
+        points[561:] = 1.0
+        value, _ = self.passes(monkeypatch, points)
+        assert value == copied_median_bandwidth(points) == 0.5
+
+    def test_clustered_distances_take_narrowing_passes(self, monkeypatch):
+        # Two jittered groups: the 562,500 cross distances, more than a
+        # block, all lie within 1e-9 of 1.3, so the first bin holding the
+        # middle ranks is too full to gather and further counting passes
+        # narrow it. (1 and 1.5 would sit on a first-pass bin edge and split.)
+        g = np.random.default_rng(21)
+        points = np.zeros((1500, 1))
+        points[750:] = 1.3
+        points += 1e-10 * g.standard_normal(points.shape)
+        value, passes = self.passes(monkeypatch, points)
+        assert value == copied_median_bandwidth(points)
+        assert passes > 2
+
+    def test_sorted_points(self):
+        points = np.sort(np.random.default_rng(22).standard_normal((1500, 2)), axis=0)
+        assert median_bandwidth(points) == copied_median_bandwidth(points)
+
+    @pytest.mark.parametrize("m", [13, 50, 66, 121])
+    def test_small_blocks(self, monkeypatch, m):
+        monkeypatch.setattr(evaluate_mod, "_BLOCK", 64)
+        g = np.random.default_rng(m)
+        points = g.standard_normal((m, 2))
+        assert median_bandwidth(points) == copied_median_bandwidth(points)
+        repeated = np.repeat(points[: m // 4 + 1], 4, axis=0)
+        assert median_bandwidth(repeated) == copied_median_bandwidth(repeated)
 
 
 class TestFullEval:

@@ -46,7 +46,7 @@ def checkpoint_dict(
             "beta_min": float(beta_min),
             "beta_max": float(beta_max),
         },
-        "params": [float(p) for p in model.params],
+        "params": model.params.tolist(),
         "provenance": {
             "config_hash": config_hash,
             "seed": int(seed),

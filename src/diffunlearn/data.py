@@ -220,12 +220,19 @@ def similarity_restricted_set(
 
 
 def save_dataset(data: LabeledDataset, path) -> None:
-    """Write one {"x": [...], "label": int} JSON record per line."""
-    artifacts.write_jsonl(
+    """Write one {"x": [...], "label": int} JSON record per line.
+
+    Each line is formatted directly, with the bytes json.dumps(record,
+    allow_nan=False) gives; like json, a non-finite point raises ValueError
+    and nothing is written.
+    """
+    if not np.isfinite(data.points).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    artifacts.write_lines(
         path,
         (
-            {"x": [float(v) for v in x], "label": int(label)}
-            for x, label in zip(data.points, data.labels)
+            f'{{"x": [{", ".join(map(repr, x))}], "label": {label}}}'
+            for x, label in zip(data.points.tolist(), data.labels.tolist())
         ),
     )
 

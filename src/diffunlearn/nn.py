@@ -21,7 +21,9 @@ this vector verbatim, so the layout is part of the public contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,28 +67,33 @@ class NoisePredictor:
                 "embedding widths must equal the first hidden width; embeddings "
                 "are added to the first pre-activation"
             )
-        params = np.asarray(self.params, dtype=np.float64).reshape(-1).copy()
         expected = param_count(
             self.input_dim, hidden, self.num_classes, self.num_timesteps
         )
-        if params.size != expected:
-            raise ShapeError(
-                f"params has {params.size} entries, architecture needs {expected}"
-            )
-        params.flags.writeable = False
-        object.__setattr__(self, "params", params)
-
-    @property
-    def layer_dims(self) -> list[int]:
-        return [self.input_dim, *self.hidden_dims, self.input_dim]
+        object.__setattr__(self, "params", _frozen_params(self.params, expected))
 
     @property
     def num_params(self) -> int:
         return self.params.size
 
+    @property
+    def layout(self) -> "ParamLayout":
+        return _layout(
+            self.input_dim, self.hidden_dims, self.num_classes, self.num_timesteps
+        )
+
     def with_params(self, params: np.ndarray) -> "NoisePredictor":
-        """Return a copy of this model with a replacement parameter vector."""
-        return replace(self, params=params)
+        """Return a copy of this model with a replacement parameter vector.
+
+        The architecture was validated when this model was built, so only
+        the new vector is checked and frozen; the model keeps no reference
+        to the caller's array.
+        """
+        new = object.__new__(type(self))
+        new.__dict__.update(
+            self.__dict__, params=_frozen_params(params, self.params.size)
+        )
+        return new
 
     def unpack(self):
         """Split ``params`` into weight/bias views plus the two tables.
@@ -94,22 +101,54 @@ class NoisePredictor:
         Returns (weights, biases, time_table, class_table); all are read-only
         views into the flat vector, never copies.
         """
-        dims = self.layer_dims
-        weights, biases = [], []
-        offset = 0
-        p = self.params
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(p[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
-            offset += fan_out * fan_in
-            biases.append(p[offset : offset + fan_out])
-            offset += fan_out
+        layout, p = self.layout, self.params
         h0 = self.hidden_dims[0]
-        time_table = p[offset : offset + self.num_timesteps * h0].reshape(
-            self.num_timesteps, h0
-        )
-        offset += self.num_timesteps * h0
-        class_table = p[offset:].reshape(self.num_classes + 1, h0)
+        weights = [p[block].reshape(shape) for block, shape in layout.weights]
+        biases = [p[block] for block in layout.biases]
+        time_table = p[layout.time_table].reshape(self.num_timesteps, h0)
+        class_table = p[layout.class_table].reshape(self.num_classes + 1, h0)
         return weights, biases, time_table, class_table
+
+
+def _frozen_params(params, size: int) -> np.ndarray:
+    """A read-only flat float64 copy of ``params``, which must hold ``size``."""
+    params = np.asarray(params, dtype=np.float64).reshape(-1)
+    if params.size != size:
+        raise ShapeError(f"params has {params.size} entries, architecture needs {size}")
+    params = params.copy()
+    params.flags.writeable = False
+    return params
+
+
+class ParamLayout(NamedTuple):
+    """Where each block of the canonical layout sits in the flat vector.
+
+    ``weights`` holds one (slice, (fan_out, fan_in)) per layer and ``biases``
+    one slice per layer, input layer first; the two tables are slices.
+    """
+
+    weights: tuple
+    biases: tuple
+    time_table: slice
+    class_table: slice
+
+
+@lru_cache(maxsize=64)
+def _layout(input_dim, hidden_dims, num_classes, num_timesteps) -> ParamLayout:
+    """The layout of one architecture, computed once and then reused; the
+    class table's end is the parameter count."""
+    dims = [input_dim, *hidden_dims, input_dim]
+    weights, biases = [], []
+    offset = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append((slice(offset, offset + fan_out * fan_in), (fan_out, fan_in)))
+        offset += fan_out * fan_in
+        biases.append(slice(offset, offset + fan_out))
+        offset += fan_out
+    h0 = hidden_dims[0]
+    time_table = slice(offset, offset + num_timesteps * h0)
+    class_table = slice(time_table.stop, time_table.stop + (num_classes + 1) * h0)
+    return ParamLayout(tuple(weights), tuple(biases), time_table, class_table)
 
 
 def param_count(
@@ -119,10 +158,8 @@ def param_count(
     num_timesteps: int,
 ) -> int:
     """Number of parameters for the given architecture."""
-    dims = [input_dim, *hidden_dims, input_dim]
-    n = sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
-    h0 = hidden_dims[0]
-    return n + num_timesteps * h0 + (num_classes + 1) * h0
+    layout = _layout(input_dim, tuple(hidden_dims), num_classes, num_timesteps)
+    return layout.class_table.stop
 
 
 def init_model(
@@ -171,7 +208,7 @@ def _timestep_rows(num_timesteps: int, t, batch: int) -> np.ndarray:
     if t.shape != (batch,):
         raise ShapeError(f"timesteps have shape {t.shape}, expected ({batch},)")
     t = t.astype(np.int64)
-    if np.any(t < 1) or np.any(t > num_timesteps):
+    if t.size and (t.min() < 1 or t.max() > num_timesteps):
         raise DomainError(message)
     return t - 1
 
@@ -189,7 +226,7 @@ def _class_rows(model: NoisePredictor, class_id, batch: int) -> np.ndarray:
     if c.shape != (batch,):
         raise ShapeError(f"class ids have shape {c.shape}, expected ({batch},)")
     c = c.astype(np.int64)
-    if np.any(c < 0) or np.any(c >= model.num_classes):
+    if c.size and (c.min() < 0 or c.max() >= model.num_classes):
         raise DomainError(message)
     return c
 
@@ -262,31 +299,26 @@ def backward_from_activations(
     thread count.
     """
     weights, _, _, _ = model.unpack()
+    layout = model.layout
     out = acts[-1]
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
     d_out = 2.0 * w * (out - targets)
 
     grad = np.zeros(model.num_params)
-    offsets = _layer_offsets(model)
 
     # Walk layers from the output back to the input; after the loop `delta`
     # holds the gradient at the first hidden pre-activation, which is exactly
     # what the embedding tables receive.
     delta = d_out
-    for k in range(len(model.layer_dims) - 2, -1, -1):
-        a_prev = acts[k]
-        w_off, b_off, w_shape = offsets[k]
-        grad[w_off : w_off + w_shape[0] * w_shape[1]] = (delta.T @ a_prev).ravel()
-        grad[b_off : b_off + w_shape[0]] = delta.sum(axis=0)
+    for k in range(len(weights) - 1, -1, -1):
+        grad[layout.weights[k][0]] = (delta.T @ acts[k]).ravel()
+        grad[layout.biases[k]] = delta.sum(axis=0)
         if k == 0:
             break
         delta = (delta @ weights[k]) * (1.0 - acts[k] ** 2)
 
-    h0 = model.hidden_dims[0]
-    t_off = offsets[-1][0]
-    c_off = t_off + model.num_timesteps * h0
-    grad[t_off:c_off] = _scatter_rows(t_rows, delta, model.num_timesteps)
-    grad[c_off:] = _scatter_rows(c_rows, delta, model.num_classes + 1)
+    grad[layout.time_table] = _scatter_rows(t_rows, delta, model.num_timesteps)
+    grad[layout.class_table] = _scatter_rows(c_rows, delta, model.num_classes + 1)
     return grad
 
 
@@ -300,22 +332,6 @@ def _scatter_rows(rows, delta, num_rows: int) -> np.ndarray:
     width = delta.shape[1]
     flat = (rows[:, None] * width + np.arange(width)).ravel()
     return np.bincount(flat, weights=delta.ravel(), minlength=num_rows * width)
-
-
-def _layer_offsets(model: NoisePredictor):
-    """Offsets of each layer's weight/bias block plus the table block.
-
-    Returns a list with one (weight_offset, bias_offset, weight_shape) per
-    layer, terminated by a ((table_offset,),) entry for the embedding tables.
-    """
-    dims = model.layer_dims
-    offsets = []
-    off = 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        offsets.append((off, off + fan_out * fan_in, (fan_out, fan_in)))
-        off += fan_out * fan_in + fan_out
-    offsets.append((off,))
-    return offsets
 
 
 def squared_error_backward(

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from diffunlearn.errors import DomainError
-from diffunlearn.nn import _layer_offsets, mlp_forward
+from diffunlearn.nn import mlp_forward
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, h: float) -> np.ndarray:
@@ -47,19 +47,16 @@ def add_at_backward(model, acts, targets, t_rows, c_rows, sample_weights):
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
     delta = 2.0 * w * (acts[-1] - targets)
     grad = np.zeros(model.num_params)
-    offsets = _layer_offsets(model)
-    for k in range(len(model.layer_dims) - 2, -1, -1):
-        w_off, b_off, w_shape = offsets[k]
-        grad[w_off : w_off + w_shape[0] * w_shape[1]] = (delta.T @ acts[k]).ravel()
-        grad[b_off : b_off + w_shape[0]] = delta.sum(axis=0)
+    layout = model.layout
+    for k in range(len(weights) - 1, -1, -1):
+        grad[layout.weights[k][0]] = (delta.T @ acts[k]).ravel()
+        grad[layout.biases[k]] = delta.sum(axis=0)
         if k == 0:
             break
         delta = (delta @ weights[k]) * (1.0 - acts[k] ** 2)
     h0 = model.hidden_dims[0]
-    t_off = offsets[-1][0]
-    c_off = t_off + model.num_timesteps * h0
-    np.add.at(grad[t_off:c_off].reshape(model.num_timesteps, h0), t_rows, delta)
-    np.add.at(grad[c_off:].reshape(model.num_classes + 1, h0), c_rows, delta)
+    np.add.at(grad[layout.time_table].reshape(model.num_timesteps, h0), t_rows, delta)
+    np.add.at(grad[layout.class_table].reshape(model.num_classes + 1, h0), c_rows, delta)
     return grad
 
 

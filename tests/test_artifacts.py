@@ -1,9 +1,15 @@
 """Artifact writers: whole-or-nothing replacement, file mode, strict JSON."""
 
+import json
 import math
 import os
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffunlearn import artifacts
 from diffunlearn.errors import DomainError
@@ -90,3 +96,137 @@ def test_eval_report_with_nan_mmd_writes_nothing(tmp_path):
     with pytest.raises(ValueError):
         save_eval_report(report, tmp_path / "eval.json")
     assert list(tmp_path.iterdir()) == []
+
+
+# Floats whose shortest repr takes each of its forms: negative zero, the
+# smallest subnormal, the switches to exponent notation at 1e16 and 1e-5,
+# the largest finite magnitude, and a 17-digit value.
+AWKWARD = [-0.0, 5e-324, 1e16, 1e-5, 1e300, -1.7976931348623157e308, 0.1 + 0.2]
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(AWKWARD)
+scalars = (
+    st.none() | st.booleans() | st.integers() | finite | finite.map(np.float64)
+    | st.text()
+)
+keys = st.text() | st.integers() | finite | st.booleans() | st.none()
+docs = st.recursive(
+    scalars | st.lists(finite, min_size=1),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=12,
+)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _insert(items, value, at):
+    at %= len(items) + 1
+    return [*items[:at], value, *items[at:]]
+
+
+# A document holding one non-finite float at some depth: in a list of plain
+# floats, in a mixed list, as a dict value, as a numpy scalar or as a key.
+poisoned = st.recursive(
+    non_finite
+    | non_finite.map(np.float64)
+    | st.builds(_insert, st.lists(finite), non_finite, st.integers(0, 99))
+    | st.builds(lambda bad, v: {bad: v}, non_finite, scalars),
+    lambda inner: st.builds(_insert, st.lists(scalars, max_size=3), inner, st.integers(0, 3))
+    | st.builds(
+        lambda d, k, bad: {**d, k: bad},
+        st.dictionaries(st.text(), scalars, max_size=3),
+        st.text(),
+        inner,
+    ),
+    max_leaves=6,
+)
+
+
+def _expected(doc, indent):
+    return (json.dumps(doc, indent=indent, allow_nan=False) + "\n").encode()
+
+
+class TestWriteJsonMatchesJson:
+    """write_json formats plain float lists itself; every byte must still
+    be json's."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=docs, indent=st.sampled_from([1, 2]))
+    def test_any_document(self, tmp_path, doc, indent):
+        path = tmp_path / "doc.json"
+        artifacts.write_json(path, doc, indent)
+        assert path.read_bytes() == _expected(doc, indent)
+
+    @pytest.mark.parametrize("indent", [1, 2])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[], {}]},
+            {"ключ": "значение", "键": [1.0, -0.0], "e\u0301": "\n\"\\"},
+            AWKWARD,
+            {"params": AWKWARD, "scalar": 1e16, "nested": [[5e-324], [1e-5, -0.0]]},
+            [1, 2.0, True],
+            [2.0, True],
+            [2.0, False, None],
+            [0.5, 1],
+            [np.float64(0.1), np.float64(-0.0)],
+            [0.5, np.float64(0.25)],
+            (0.5, 1.5),
+            {"t": (1, "x", None), "u": ()},
+            {1: "int", 2.5: "float", False: "bool", None: "null", -0.0: "zero"},
+            # The sum overflows, so the list takes the per-item path.
+            [1.7976931348623157e308, 1.7976931348623157e308],
+            "top-level string",
+            0.1,
+            None,
+        ],
+    )
+    def test_edge_documents(self, tmp_path, doc, indent):
+        path = tmp_path / "doc.json"
+        artifacts.write_json(path, doc, indent)
+        assert path.read_bytes() == _expected(doc, indent)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=poisoned, indent=st.sampled_from([1, 2]))
+    def test_non_finite_float_raises_and_writes_nothing(self, tmp_path, doc, indent):
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=indent, allow_nan=False)
+        with pytest.raises(ValueError):
+            artifacts.write_json(tmp_path / "doc.json", doc, indent)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_key_of_another_type_rejected_as_json_does(self, tmp_path):
+        with pytest.raises(TypeError, match="keys must be"):
+            json.dumps({(1, 2): 0}, indent=1)
+        with pytest.raises(TypeError, match="keys must be"):
+            artifacts.write_json(tmp_path / "doc.json", {(1, 2): 0}, 1)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_write_jsonl_matches_json_dumps(tmp_path):
+    records = [{"x": [0.1, -0.0, 5e-324], "label": 3}, {"s": "é", "n": None}, []]
+    path = tmp_path / "out.jsonl"
+    artifacts.write_jsonl(path, records)
+    expected = "".join(json.dumps(r, allow_nan=False) + "\n" for r in records)
+    assert path.read_bytes() == expected.encode()
+
+
+# Anything in the package that could put bytes on disk. Every artifact goes
+# through artifacts._publish, which writes a temporary file and renames it
+# over the target, so only artifacts.py may match.
+_FILE_WRITES = re.compile(r'import csv|open\(.*"w"|write_text|write_bytes|mkdir')
+
+
+def test_only_the_artifacts_module_writes_files():
+    package = Path(artifacts.__file__).parent
+    writers = sorted(
+        p.name for p in package.glob("*.py") if _FILE_WRITES.search(p.read_text())
+    )
+    assert writers == ["artifacts.py"]

@@ -7,6 +7,7 @@ import pytest
 
 from diffunlearn.checkpoint import (
     CHECKPOINT_VERSION,
+    checkpoint_dict,
     load_checkpoint,
     save_checkpoint,
 )
@@ -64,6 +65,19 @@ def test_awkward_floats_survive(tmp_path, small_model, schedule):
     save_checkpoint(path, model, schedule, 1e-4, 0.1)
     loaded, _, _ = load_checkpoint(path)
     assert np.array_equal(loaded.params, params)
+
+
+def test_bytes_match_json_dumps(tmp_path, small_model, schedule):
+    params = small_model.params.copy()
+    params[:9] = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, 1e-5,
+                  -1.7976931348623157e308, 1e300, 0.1 + 0.2, 123456789.0]
+    model = small_model.with_params(params)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, schedule, 1e-4, 0.1, config_hash="é", seed=3)
+    doc = checkpoint_dict(model, schedule, 1e-4, 0.1, config_hash="é", seed=3)
+    doc["params"] = [float(p) for p in model.params]
+    expected = json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode()
 
 
 def test_unknown_version_rejected(tmp_path, small_model, schedule):
@@ -133,6 +147,7 @@ def test_non_finite_params_rejected(tmp_path, small_model, schedule):
     params[3] = np.nan
     with pytest.raises(ValueError):
         save_checkpoint(path, small_model.with_params(params), schedule, 1e-4, 0.1)
+    assert list(tmp_path.iterdir()) == []
     save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
     doc = json.loads(path.read_text())
     doc["params"][3] = float("nan")

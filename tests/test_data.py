@@ -1,5 +1,7 @@
 """Tests for mixture generation and remaining-set construction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -177,13 +179,39 @@ class TestDatasetIO:
         assert np.array_equal(loaded.labels, data.labels)
 
     def test_record_format(self, tmp_path):
-        import json
-
         data = LabeledDataset(np.array([[0.5, -1.25]]), np.array([2]))
         path = tmp_path / "one.jsonl"
         save_dataset(data, path)
         record = json.loads(path.read_text().strip())
         assert record == {"x": [0.5, -1.25], "label": 2}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bytes_match_json_dumps(self, tmp_path, dim):
+        awkward = [-0.0, 5e-324, 1e16, 1e-5, -1.7976931348623157e308, 0.1 + 0.2]
+        rng = np.random.default_rng(dim)
+        values = np.concatenate([awkward * dim, 5.0 * rng.standard_normal(30 * dim)])
+        points = values.reshape(-1, dim)
+        labels = rng.integers(0, 12, size=len(points))
+        data = LabeledDataset(points, labels)
+        path = tmp_path / "data.jsonl"
+        save_dataset(data, path)
+        expected = "".join(
+            json.dumps({"x": [float(v) for v in x], "label": int(k)}, allow_nan=False)
+            + "\n"
+            for x, k in zip(data.points, data.labels)
+        )
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "data.jsonl"
+        save_dataset(LabeledDataset(np.array([[0.5, 1.0]]), np.array([0])), path)
+        before = path.read_bytes()
+        points = np.array([[0.5, 1.0], [2.0, bad], [3.0, 4.0]])
+        with pytest.raises(ValueError):
+            save_dataset(LabeledDataset(points, np.array([0, 1, 2])), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -1,10 +1,13 @@
 """Tests for the noise-prediction MLP and its hand-written gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from diffunlearn.data import circle_mixture, gen_mixture
+from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import (
     NoisePredictor,
@@ -15,6 +18,8 @@ from diffunlearn.nn import (
     param_count,
     squared_error_backward,
 )
+from diffunlearn.train import TrainConfig, pretrain
+from diffunlearn.unlearn import UnlearnConfig, unlearn_run
 from gradcheck import (
     add_at_backward,
     finite_diff_grad,
@@ -97,6 +102,58 @@ class TestModelConstruction:
         assert other is not model
         assert np.array_equal(other.params, model.params * 2.0)
 
+    def test_with_params_rejects_wrong_length(self):
+        model = tiny_model()
+        with pytest.raises(ShapeError, match="18 entries, architecture needs 19"):
+            model.with_params(np.zeros(model.num_params - 1))
+        with pytest.raises(ShapeError):
+            model.with_params(np.zeros(model.num_params + 1))
+
+    def test_with_params_does_not_alias_caller_array(self):
+        model = tiny_model()
+        params = model.params * 2.0
+        other = model.with_params(params)
+        params[:] = 7.0
+        assert np.array_equal(other.params, model.params * 2.0)
+        with pytest.raises(ValueError):
+            other.params[0] = 1.0
+
+    def test_with_params_keeps_architecture(self):
+        model = tiny_model()
+        other = model.with_params(model.params.reshape(1, -1).tolist())
+        assert other.params.dtype == np.float64 and other.params.shape == (19,)
+        assert other.params.flags.owndata
+        for field in dataclasses.fields(NoisePredictor):
+            if field.name != "params":
+                assert getattr(other, field.name) == getattr(model, field.name)
+
+    def test_training_and_unlearning_keep_parameter_bytes(self, monkeypatch):
+        # Reference: the full constructor, which re-validates the
+        # architecture on every step.
+        spec = circle_mixture(num_classes=3, radius=4.0, sigma=0.3, samples_per_class=60)
+        data = gen_mixture(spec, 5)
+        schedule = NoiseSchedule(10, 1e-3, 0.2)
+
+        def run():
+            model = init_model(2, (16, 8), 3, 10, np.random.default_rng(0))
+            model, _ = pretrain(
+                model, data, schedule, TrainConfig(steps=150, batch_size=32), 4
+            )
+            config = UnlearnConfig(loss_cap=1.0, iterations=25, batch_forget=16,
+                                   batch_remain=16, seed=9)
+            unlearned, _ = unlearn_run(
+                model, data.class_subset(0), data.drop_class(0), schedule, config
+            )
+            return model.params.tobytes(), unlearned.params.tobytes()
+
+        fast = run()
+        monkeypatch.setattr(
+            NoisePredictor,
+            "with_params",
+            lambda self, params: dataclasses.replace(self, params=params),
+        )
+        assert run() == fast
+
     def test_unpack_roundtrips_flat_vector(self):
         model = tiny_model()
         weights, biases, time_table, class_table = model.unpack()
@@ -158,6 +215,18 @@ class TestForward:
         for c in (-1, 2):
             with pytest.raises(DomainError):
                 mlp_forward(model, np.array([[0.1]]), 1, c)
+
+    def test_per_sample_out_of_range_rejected(self):
+        model = tiny_model()
+        x = np.zeros((3, 1))
+        for t in ([1, 0, 3], [1, 4, 3], [2, -5, 9]):
+            with pytest.raises(DomainError, match="timesteps"):
+                mlp_forward(model, x, np.array(t), np.array([0, 1, 0]))
+        for c in ([0, -1, 1], [0, 2, 1]):
+            with pytest.raises(DomainError, match="class ids"):
+                mlp_forward(model, x, np.array([1, 2, 3]), np.array(c))
+        empty = mlp_forward(model, np.zeros((0, 1)), np.array([], int), np.array([], int))
+        assert empty.shape == (0, 1)
 
     def test_bad_input_shape_rejected(self):
         model = tiny_model()

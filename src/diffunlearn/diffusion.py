@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .nn import NoisePredictor, _timestep_rows, mlp_forward, squared_error_backward
+from .nn import (
+    NoisePredictor,
+    _class_rows,
+    _forward,
+    _row_selection,
+    _timestep_rows,
+    squared_error_backward,
+)
 from .rngs import as_generator
 
 
@@ -131,9 +138,18 @@ def ddpm_sample(
     mu = (x_t - (beta_t / sqrt(1 - alpha_bar_t)) * eps_hat) / sqrt(1 - beta_t)
     then adds sqrt(beta_t) * z noise for every step except the final one.
 
+    Checked once on entry: the count, the model's timestep table against
+    the schedule, and ``class_id`` in every form :func:`nn.mlp_forward`
+    accepts. The T steps then run the forward kernel ``nn._forward``, which
+    ``mlp_forward`` wraps, on parameters unpacked once, with one reused
+    buffer per hidden layer and the three per-step coefficients
+    precomputed as vectors; correctly rounded sqrt and division give the
+    same bits as the per-step scalars.
+
     Args:
         model: Noise predictor; its num_timesteps must cover the schedule.
-        class_id: Conditioning class, or None for unconditional rows.
+        class_id: Conditioning class, a per-sample array of n classes, or
+            None for unconditional rows.
         n: Number of chains to run.
         schedule: Forward schedule the model was trained against.
         rng: Integer seed or numpy Generator.
@@ -144,15 +160,20 @@ def ddpm_sample(
         raise DomainError(
             "model timestep table is smaller than the schedule horizon"
         )
+    views = model.unpack()
+    c_select = _row_selection(_class_rows(model, class_id, n), class_id)
+    betas, alpha_bars = schedule.betas, schedule.alpha_bars
+    eps_scale = betas / np.sqrt(1.0 - alpha_bars)
+    keep_scale = np.sqrt(1.0 - betas)
+    noise_scale = np.sqrt(betas)
+    hidden = [np.empty((n, width)) for width in model.hidden_dims]
     gen, seed = as_generator(rng)
     x = gen.standard_normal((n, model.input_dim))
-    for t in range(schedule.num_timesteps, 0, -1):
-        beta = schedule.betas[t - 1]
-        abar = schedule.alpha_bars[t - 1]
-        eps_hat = mlp_forward(model, x, t, class_id)
-        mu = (x - (beta / np.sqrt(1.0 - abar)) * eps_hat) / np.sqrt(1.0 - beta)
-        if t > 1:
-            x = mu + np.sqrt(beta) * gen.standard_normal((n, model.input_dim))
+    for i in range(schedule.num_timesteps - 1, -1, -1):  # i = t - 1
+        eps_hat = _forward(views, x, slice(i, i + 1), c_select, hidden)[-1]
+        mu = (x - eps_scale[i] * eps_hat) / keep_scale[i]
+        if i > 0:
+            x = mu + noise_scale[i] * gen.standard_normal((n, model.input_dim))
         else:
             x = mu
     return SamplerOutput(samples=x, seed=seed)

@@ -101,13 +101,7 @@ class NoisePredictor:
         Returns (weights, biases, time_table, class_table); all are read-only
         views into the flat vector, never copies.
         """
-        layout, p = self.layout, self.params
-        h0 = self.hidden_dims[0]
-        weights = [p[block].reshape(shape) for block, shape in layout.weights]
-        biases = [p[block] for block in layout.biases]
-        time_table = p[layout.time_table].reshape(self.num_timesteps, h0)
-        class_table = p[layout.class_table].reshape(self.num_classes + 1, h0)
-        return weights, biases, time_table, class_table
+        return _unpack(self.layout, self.params)
 
 
 def _frozen_params(params, size: int) -> np.ndarray:
@@ -125,12 +119,16 @@ class ParamLayout(NamedTuple):
 
     ``weights`` holds one (slice, (fan_out, fan_in)) per layer and ``biases``
     one slice per layer, input layer first; the two tables are slices.
+    ``table_index`` is a read-only (rows, h0) array whose row r holds the
+    flat positions r*h0 .. r*h0 + h0 - 1, enough rows for either table: the
+    embedding-gradient scatter gathers its bincount positions from it.
     """
 
     weights: tuple
     biases: tuple
     time_table: slice
     class_table: slice
+    table_index: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -148,7 +146,23 @@ def _layout(input_dim, hidden_dims, num_classes, num_timesteps) -> ParamLayout:
     h0 = hidden_dims[0]
     time_table = slice(offset, offset + num_timesteps * h0)
     class_table = slice(time_table.stop, time_table.stop + (num_classes + 1) * h0)
-    return ParamLayout(tuple(weights), tuple(biases), time_table, class_table)
+    table_index = np.arange(max(num_timesteps, num_classes + 1) * h0).reshape(-1, h0)
+    table_index.flags.writeable = False
+    return ParamLayout(
+        tuple(weights), tuple(biases), time_table, class_table, table_index
+    )
+
+
+def _unpack(layout: ParamLayout, params: np.ndarray):
+    """(weights, biases, time_table, class_table) as views into ``params``,
+    which must be a flat vector in ``layout``; views of a writable vector
+    are writable."""
+    h0 = layout.weights[0][1][0]
+    weights = [params[block].reshape(shape) for block, shape in layout.weights]
+    biases = [params[block] for block in layout.biases]
+    time_table = params[layout.time_table].reshape(-1, h0)
+    class_table = params[layout.class_table].reshape(-1, h0)
+    return weights, biases, time_table, class_table
 
 
 def param_count(
@@ -196,39 +210,122 @@ def init_model(
     )
 
 
+def _checked_rows(values, batch: int, low: int, high: int, what: str) -> np.ndarray:
+    """``values`` minus ``low`` as (batch,) int64 table rows.
+
+    ``values`` is one integer for every sample or a (batch,) integer array,
+    each in low..high. A bool, an array of a non-integer dtype or a scalar
+    with a fractional part raises DomainError; none is truncated.
+    """
+    v = np.asarray(values)
+    if v.dtype.kind not in "iu" and not (v.ndim == 0 and v.dtype.kind == "f"):
+        raise DomainError(f"{what} must be integers, got dtype {v.dtype}")
+    if v.ndim == 0:
+        if not float(v).is_integer():
+            raise DomainError(f"{what} must be integers, got {v}")
+        v = int(v)
+        if not low <= v <= high:
+            raise DomainError(f"{what} must lie in {low}..{high}")
+        return np.full(batch, v - low, dtype=np.int64)
+    if v.shape != (batch,):
+        raise ShapeError(f"{what} have shape {v.shape}, expected ({batch},)")
+    if v.size and (v.min() < low or v.max() > high):
+        raise DomainError(f"{what} must lie in {low}..{high}")
+    return v.astype(np.int64) - low
+
+
 def _timestep_rows(num_timesteps: int, t, batch: int) -> np.ndarray:
     """0-based table rows for 1-based timesteps, scalar or one per sample."""
-    message = f"timesteps must lie in 1..{num_timesteps}"
-    t = np.asarray(t)
-    if t.ndim == 0:
-        t = int(t)
-        if not 1 <= t <= num_timesteps:
-            raise DomainError(message)
-        return np.full(batch, t - 1, dtype=np.int64)
-    if t.shape != (batch,):
-        raise ShapeError(f"timesteps have shape {t.shape}, expected ({batch},)")
-    t = t.astype(np.int64)
-    if t.size and (t.min() < 1 or t.max() > num_timesteps):
-        raise DomainError(message)
-    return t - 1
+    return _checked_rows(t, batch, 1, num_timesteps, "timesteps")
 
 
 def _class_rows(model: NoisePredictor, class_id, batch: int) -> np.ndarray:
+    """Class table rows; None selects the unconditional row."""
     if class_id is None:
         return np.full(batch, model.num_classes, dtype=np.int64)
-    message = f"class ids must lie in 0..{model.num_classes - 1}"
-    c = np.asarray(class_id)
-    if c.ndim == 0:
-        c = int(c)
-        if not 0 <= c < model.num_classes:
-            raise DomainError(message)
-        return np.full(batch, c, dtype=np.int64)
-    if c.shape != (batch,):
-        raise ShapeError(f"class ids have shape {c.shape}, expected ({batch},)")
-    c = c.astype(np.int64)
-    if c.size and (c.min() < 0 or c.max() >= model.num_classes):
-        raise DomainError(message)
-    return c
+    return _checked_rows(class_id, batch, 0, model.num_classes - 1, "class ids")
+
+
+def _row_selection(rows, given):
+    """The table rows a forward pass adds: ``rows`` itself for a per-sample
+    ``given``, else its first entry alone, whose one row broadcasts."""
+    return rows if np.ndim(given) else rows[:1]
+
+
+def _forward(views, x, t_select, c_select, hidden=None) -> list:
+    """The layer arithmetic of the forward pass, with nothing checked.
+
+    ``views`` is an unpacked parameter vector (:func:`_unpack`) and ``x`` a
+    (batch, input_dim) float64 array. ``t_select`` and ``c_select`` index
+    the timestep and class tables for the rows added to the first
+    pre-activation: a (batch,) array with one row per sample, or a
+    selection of one row (a length-one array or slice), which broadcasts;
+    both give the same bytes. Each table term is gathered just before it is
+    added, so no gathered copy outlives its addition. Each layer is built
+    in one buffer, adding bias and table terms in place in a fixed order: a
+    new array, or the caller's (batch, width) buffer ``hidden[k]`` for
+    hidden layer k, which lets a loop reuse its buffers. Returns the
+    activations: the input, each hidden tanh output and the linear network
+    output.
+
+    The checked wrappers :func:`forward_activations` and :func:`mlp_forward`
+    share this kernel with the loops of ``train.pretrain`` and
+    ``diffusion.ddpm_sample``, which check their inputs once on entry.
+    """
+    weights, biases, time_table, class_table = views
+    hidden = hidden or [None] * (len(weights) - 1)
+    acts = [x]
+    for k in range(len(weights) - 1):
+        pre = np.matmul(acts[-1], weights[k].T, out=hidden[k])
+        pre += biases[k]
+        if k == 0:
+            pre += time_table[t_select]
+            pre += class_table[c_select]
+        acts.append(np.tanh(pre, out=pre))
+    out = acts[-1] @ weights[-1].T
+    out += biases[-1]
+    acts.append(out)
+    return acts
+
+
+def _backward(views, layout, acts, targets, t_rows, c_rows, sample_weights, grad):
+    """Write d(sum_i w_i * ||out_i - target_i||^2)/d(params) into ``grad``.
+
+    ``acts`` come from :func:`_forward` on the same ``views``; every block
+    of the caller's flat ``grad`` is overwritten, so it need not be zeroed.
+    Nothing is checked. The reduction order is fixed, so results are
+    bit-reproducible. The two embedding tables receive the first-layer delta
+    scattered by ``t_rows`` and ``c_rows``: one bincount per table over flat
+    positions gathered from ``layout.table_index``. bincount adds its
+    weights in input order into a zeroed float64 accumulator, so each table
+    entry is the sum of its samples' deltas in batch order from 0.0, as a
+    sequential scatter-add gives, with no BLAS call.
+
+    :func:`backward_from_activations` wraps this kernel; ``train.pretrain``
+    calls it on its own parameter and gradient vectors. Returns ``grad``.
+    """
+    weights = views[0]
+    w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
+    # Walk layers from the output back to the input; after the loop `delta`
+    # holds the gradient at the first hidden pre-activation, which is exactly
+    # what the embedding tables receive.
+    delta = 2.0 * w * (acts[-1] - targets)
+    for k in range(len(weights) - 1, -1, -1):
+        grad[layout.weights[k][0]] = (delta.T @ acts[k]).ravel()
+        grad[layout.biases[k]] = delta.sum(axis=0)
+        if k == 0:
+            break
+        # (delta @ W_k) * (1 - a_k ** 2), with the temporaries reused.
+        slope = np.square(acts[k])
+        np.subtract(1.0, slope, out=slope)
+        delta = delta @ weights[k]
+        delta *= slope
+    flat = delta.ravel()
+    for block, rows in ((layout.time_table, t_rows), (layout.class_table, c_rows)):
+        positions = layout.table_index[rows].ravel()
+        size = block.stop - block.start
+        grad[block] = np.bincount(positions, weights=flat, minlength=size)
+    return grad
 
 
 def forward_activations(model: NoisePredictor, x, t, class_id):
@@ -239,10 +336,11 @@ def forward_activations(model: NoisePredictor, x, t, class_id):
     network output; t_rows and c_rows hold one table row per sample. Used by
     the backward pass; most callers want :func:`mlp_forward`.
 
-    Each layer is built in one buffer, adding bias and table terms in place
-    in a fixed order. A scalar timestep or class (or None) adds its one table
-    row by broadcasting; per-sample arrays gather a row per sample. Both give
-    the same bytes.
+    Checks the input's shape, the timesteps and the class ids (a scalar,
+    a per-sample array or None), then runs the :func:`_forward` kernel. A
+    scalar timestep or class (or None) adds its one table row by
+    broadcasting; per-sample arrays gather a row per sample. Both give the
+    same bytes.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -252,20 +350,12 @@ def forward_activations(model: NoisePredictor, x, t, class_id):
     batch = x.shape[0]
     t_rows = _timestep_rows(model.num_timesteps, t, batch)
     c_rows = _class_rows(model, class_id, batch)
-    weights, biases, time_table, class_table = model.unpack()
-
-    pre = x @ weights[0].T
-    pre += biases[0]
-    pre += time_table[t_rows if np.ndim(t) else t_rows[:1]]
-    pre += class_table[c_rows if np.ndim(class_id) else c_rows[:1]]
-    acts = [x, np.tanh(pre, out=pre)]
-    for w, b in zip(weights[1:-1], biases[1:-1]):
-        pre = acts[-1] @ w.T
-        pre += b
-        acts.append(np.tanh(pre, out=pre))
-    out = acts[-1] @ weights[-1].T
-    out += biases[-1]
-    acts.append(out)
+    acts = _forward(
+        model.unpack(),
+        x,
+        _row_selection(t_rows, t),
+        _row_selection(c_rows, class_id),
+    )
     return acts, t_rows, c_rows
 
 
@@ -291,47 +381,17 @@ def backward_from_activations(
 ) -> np.ndarray:
     """Gradient of sum_i w_i * ||out_i - target_i||^2 w.r.t. ``params``.
 
-    ``acts`` must come from :func:`forward_activations` on the same model.
-    The reduction order is fixed, so results are bit-reproducible. The two
-    embedding tables receive the first-layer delta scattered by ``t_rows``
-    and ``c_rows``: each table entry is the sum of its samples' deltas,
-    accumulated in batch order from 0.0, independent of the BLAS build and
-    thread count.
+    ``acts`` must come from :func:`forward_activations` on the same model,
+    and ``t_rows``/``c_rows`` are the rows it returned. Runs the
+    :func:`_backward` kernel into a new vector: the reduction order is
+    fixed, so results are bit-reproducible and independent of the BLAS
+    build and thread count.
     """
-    weights, _, _, _ = model.unpack()
-    layout = model.layout
-    out = acts[-1]
-    w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)
-    d_out = 2.0 * w * (out - targets)
-
-    grad = np.zeros(model.num_params)
-
-    # Walk layers from the output back to the input; after the loop `delta`
-    # holds the gradient at the first hidden pre-activation, which is exactly
-    # what the embedding tables receive.
-    delta = d_out
-    for k in range(len(weights) - 1, -1, -1):
-        grad[layout.weights[k][0]] = (delta.T @ acts[k]).ravel()
-        grad[layout.biases[k]] = delta.sum(axis=0)
-        if k == 0:
-            break
-        delta = (delta @ weights[k]) * (1.0 - acts[k] ** 2)
-
-    grad[layout.time_table] = _scatter_rows(t_rows, delta, model.num_timesteps)
-    grad[layout.class_table] = _scatter_rows(c_rows, delta, model.num_classes + 1)
-    return grad
-
-
-def _scatter_rows(rows, delta, num_rows: int) -> np.ndarray:
-    """Flat (num_rows, width) table whose row r sums delta[i] over rows[i] == r.
-
-    bincount adds its weights in input order into a zeroed float64
-    accumulator: each entry gets its summands in batch order starting from
-    0.0, exactly as a sequential scatter-add would, with no BLAS call.
-    """
-    width = delta.shape[1]
-    flat = (rows[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(flat, weights=delta.ravel(), minlength=num_rows * width)
+    grad = np.empty(model.num_params)
+    return _backward(
+        model.unpack(), model.layout, acts, targets, t_rows, c_rows,
+        sample_weights, grad,
+    )
 
 
 def squared_error_backward(

@@ -1,14 +1,17 @@
 """Oracles shared by the tests: central differences, the reference
 ``np.add.at`` backward pass, out-of-place references for the forward pass and
-the kernel statistics, and a peak-allocation probe."""
+the kernel statistics, per-step references for the pretraining loop and the
+sampler, and a peak-allocation probe."""
 
 import tracemalloc
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from diffunlearn.errors import DomainError
+from diffunlearn.diffusion import diffusion_loss
+from diffunlearn.errors import DomainError, TrainingDiverged
 from diffunlearn.nn import mlp_forward
+from diffunlearn.rngs import as_generator
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, h: float) -> np.ndarray:
@@ -77,6 +80,45 @@ def gathered_forward(model, x, t, class_id):
         acts.append(np.tanh(acts[-1] @ w.T + b))
     acts.append(acts[-1] @ weights[-1].T + biases[-1])
     return acts, t_rows, c_rows
+
+
+def reference_pretrain(model, data, schedule, config, rng):
+    """Reference for ``train.pretrain``: one checked public call per step.
+
+    Each step takes a ``subset`` minibatch, scores it with
+    ``diffusion_loss`` and rebuilds the model with ``with_params``.
+    """
+    gen, _ = as_generator(rng)
+    lr_final = config.lr if config.lr_final is None else config.lr_final
+    history = []
+    for step in range(config.steps):
+        frac = step / config.steps
+        lr = config.lr * (1.0 - frac) + lr_final * frac
+        idx = gen.integers(0, len(data), size=config.batch_size)
+        batch = data.subset(idx)
+        loss, grad = diffusion_loss(model, batch.points, batch.labels, schedule, gen)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(f"loss became {loss} at step {step}")
+        model = model.with_params(model.params - lr * grad)
+        history.append(loss)
+    return model, history
+
+
+def reference_ddpm_sample(model, class_id, n, schedule, rng):
+    """Reference for ``diffusion.ddpm_sample``'s samples: one checked
+    ``mlp_forward`` per step and the step's coefficients as scalars."""
+    gen, _ = as_generator(rng)
+    x = gen.standard_normal((n, model.input_dim))
+    for t in range(schedule.num_timesteps, 0, -1):
+        beta = schedule.betas[t - 1]
+        abar = schedule.alpha_bars[t - 1]
+        eps_hat = mlp_forward(model, x, t, class_id)
+        mu = (x - (beta / np.sqrt(1.0 - abar)) * eps_hat) / np.sqrt(1.0 - beta)
+        if t > 1:
+            x = mu + np.sqrt(beta) * gen.standard_normal((n, model.input_dim))
+        else:
+            x = mu
+    return x
 
 
 def full_matrix_mmd_terms(a, b, bandwidth):

@@ -14,7 +14,7 @@ from diffunlearn.diffusion import (
 )
 from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import init_model, param_count, NoisePredictor
-from gradcheck import finite_diff_grad, peak_allocation
+from gradcheck import finite_diff_grad, peak_allocation, reference_ddpm_sample
 
 
 class TestMakeSchedule:
@@ -96,6 +96,17 @@ class TestQSample:
         sched = NoiseSchedule(4, 0.1, 0.4)
         with pytest.raises(ShapeError):
             q_sample(np.ones((2, 2)), 1, np.zeros((3, 2)), sched)
+
+    def test_non_integer_timesteps_rejected(self):
+        # A fractional, float-typed or bool timestep is an error, never
+        # truncated to a neighbouring row.
+        sched = NoiseSchedule(4, 0.1, 0.4)
+        x0 = np.ones((2, 2))
+        for t in (1.5, np.float64(2.9), True, np.array([2.0, 3.0]), np.array([True, False])):
+            with pytest.raises(DomainError, match="integers"):
+                q_sample(x0, t, np.zeros((2, 2)), sched)
+        whole = q_sample(x0, 2.0, np.zeros((2, 2)), sched)
+        assert whole.tobytes() == q_sample(x0, 2, np.zeros((2, 2)), sched).tobytes()
 
     def test_monte_carlo_moments(self):
         # 1e5 draws: sample mean and variance against the closed-form
@@ -216,6 +227,34 @@ class TestDdpmSample:
         model = init_model(2, (4,), 1, 2, np.random.default_rng(0))
         with pytest.raises(DomainError):
             ddpm_sample(model, 0, 0, sched, 1)
+
+    @pytest.mark.parametrize("n", (1, 2000))
+    @pytest.mark.parametrize("class_id", (0, 4, None, "per_sample"))
+    @pytest.mark.parametrize("hidden", ((64,), (64, 64), (64, 32, 48)))
+    def test_matches_per_step_reference(self, hidden, class_id, n):
+        # Buffers reused across steps, class rows gathered once and
+        # precomputed coefficient vectors give the bytes of one checked
+        # mlp_forward per step with scalar coefficients.
+        rng = np.random.default_rng(31)
+        sched = NoiseSchedule(20, 1e-3, 0.2)
+        model = init_model(2, hidden, 5, 20, rng)
+        model = model.with_params(model.params + 0.1 * rng.standard_normal(model.num_params))
+        if class_id == "per_sample":
+            class_id = rng.integers(0, 5, size=n)
+        out = ddpm_sample(model, class_id, n, sched, 12)
+        ref = reference_ddpm_sample(model, class_id, n, sched, 12)
+        assert out.samples.tobytes() == ref.tobytes()
+
+    def test_class_checked_once_in_every_form(self):
+        # The sampler checks class_id on entry as mlp_forward does.
+        sched = NoiseSchedule(3, 0.1, 0.2)
+        model = init_model(2, (4,), 3, 3, np.random.default_rng(0))
+        for bad in (-1, 3, np.array([0, 3, 1]), 1.5, True, np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(DomainError, match="class ids"):
+                ddpm_sample(model, bad, 3, sched, 1)
+        for wrong_length in (np.array([0, 1]), np.array([0, 1, 2, 0])):
+            with pytest.raises(ShapeError, match="class ids"):
+                ddpm_sample(model, wrong_length, 3, sched, 1)
 
     def test_peak_allocation_is_the_live_hidden_layers(self):
         # A step holds at most the hidden activations it is building; the

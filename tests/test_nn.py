@@ -129,7 +129,8 @@ class TestModelConstruction:
 
     def test_training_and_unlearning_keep_parameter_bytes(self, monkeypatch):
         # Reference: the full constructor, which re-validates the
-        # architecture on every step.
+        # architecture. Unlearning calls with_params on every step;
+        # pretraining only to build the model it returns.
         spec = circle_mixture(num_classes=3, radius=4.0, sigma=0.3, samples_per_class=60)
         data = gen_mixture(spec, 5)
         schedule = NoiseSchedule(10, 1e-3, 0.2)
@@ -227,6 +228,36 @@ class TestForward:
                 mlp_forward(model, x, np.array([1, 2, 3]), np.array(c))
         empty = mlp_forward(model, np.zeros((0, 1)), np.array([], int), np.array([], int))
         assert empty.shape == (0, 1)
+
+    def test_non_integer_timesteps_and_classes_rejected(self):
+        # Fractional scalars, float arrays and bools raise; nothing is
+        # truncated to a neighbouring table row.
+        model = tiny_model()
+        x = np.array([[0.8], [-0.3]])
+        for t, c in (
+            (2.9, 1),
+            (2, 1.6),
+            (np.float64(2.5), 0),
+            (np.array([2.9, 3.5]), np.array([1, 0])),
+            (np.array([2.0, 3.0]), np.array([1, 0])),
+            (np.array([2, 3]), np.array([1.0, 0.0])),
+            (True, 0),
+            (2, True),
+            (np.array([True, True]), np.array([1, 0])),
+            (np.array([2, 3]), np.array([True, False])),
+            ("2", 0),
+        ):
+            with pytest.raises(DomainError, match="integers"):
+                mlp_forward(model, x, t, c)
+
+    def test_integral_scalars_of_any_type_accepted(self):
+        model = tiny_model()
+        x = np.array([[0.8], [-0.3]])
+        want = mlp_forward(model, x, 2, 1).tobytes()
+        for t, c in ((2.0, 1.0), (np.int32(2), np.uint8(1)), (np.array(2), np.array(1))):
+            assert mlp_forward(model, x, t, c).tobytes() == want
+        per_sample = mlp_forward(model, x, np.array([2, 3], np.int32), np.array([1, 0], np.uint8))
+        assert per_sample.tobytes() == mlp_forward(model, x, [2, 3], [1, 0]).tobytes()
 
     def test_bad_input_shape_rejected(self):
         model = tiny_model()
@@ -350,34 +381,44 @@ class TestBackward:
         "one_hidden_layer",
         "zero_weight_rows",
         "unconditional_rows",
+        "first_width_32",
+        "two_architectures",
     ],
 )
 def test_embedding_scatter_matches_add_at_oracle(case):
     # The table gradients must equal np.add.at's byte for byte: same
-    # summands, same batch order, same 0.0 start.
+    # summands, same batch order, same 0.0 start. The scatter's flat
+    # positions come from a table cached per architecture; alternating two
+    # first widths in one process shows that neither serves the other.
     rng = np.random.default_rng(17)
-    hidden = (64,) if case == "one_hidden_layer" else (64, 64)
+    archs = {
+        "one_hidden_layer": [((64,), 5, 100)],
+        "first_width_32": [((32, 48), 5, 100)],
+        "two_architectures": [((32, 48), 5, 100), ((64, 64), 3, 40)] * 2,
+    }.get(case, [((64, 64), 5, 100)])
     batch = {"batch_1": 1, "batch_1000": 1000}.get(case, 128)
-    model = init_model(2, hidden, num_classes=5, num_timesteps=100, rng=rng)
-    model = model.with_params(
-        model.params + 0.1 * rng.standard_normal(model.num_params)
-    )
-    x = rng.standard_normal((batch, 2))
-    targets = rng.standard_normal((batch, 2))
-    t = rng.integers(1, 101, size=batch)
-    c = rng.integers(0, 5, size=batch)
-    weights = np.full(batch, 1.0 / batch)
-    if case == "one_timestep_one_class":
-        t[:], c[:] = 37, 2
-    elif case == "zero_weight_rows":
-        # Rows past the loss cap carry weight 0 in the forgetting loss.
-        weights[rng.random(batch) < 0.5] = 0.0
-    elif case == "unconditional_rows":
-        c = None
-    acts, t_rows, c_rows = forward_activations(model, x, t, c)
-    grad = backward_from_activations(model, acts, targets, t_rows, c_rows, weights)
-    ref = add_at_backward(model, acts, targets, t_rows, c_rows, weights)
-    assert grad.tobytes() == ref.tobytes()
+    for hidden, num_classes, num_timesteps in archs:
+        model = init_model(2, hidden, num_classes, num_timesteps, rng=rng)
+        model = model.with_params(
+            model.params + 0.1 * rng.standard_normal(model.num_params)
+        )
+        x = rng.standard_normal((batch, 2))
+        targets = rng.standard_normal((batch, 2))
+        t = rng.integers(1, num_timesteps + 1, size=batch)
+        c = rng.integers(0, num_classes, size=batch)
+        weights = np.full(batch, 1.0 / batch)
+        if case == "one_timestep_one_class":
+            t[:], c[:] = 37, 2
+        elif case == "zero_weight_rows":
+            # Rows past the loss cap carry weight 0 in the forgetting loss.
+            weights[rng.random(batch) < 0.5] = 0.0
+        elif case == "unconditional_rows":
+            c = None
+        acts, t_rows, c_rows = forward_activations(model, x, t, c)
+        grad = backward_from_activations(model, acts, targets, t_rows, c_rows, weights)
+        ref = add_at_backward(model, acts, targets, t_rows, c_rows, weights)
+        assert grad.tobytes() == ref.tobytes()
+        assert model.layout.table_index.shape[1] == hidden[0]
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from diffunlearn.data import circle_mixture, gen_mixture
+from diffunlearn.data import LabeledDataset, circle_mixture, gen_mixture
 from diffunlearn.diffusion import NoiseSchedule
-from diffunlearn.errors import DomainError, TrainingDiverged
+from diffunlearn.errors import DomainError, ShapeError, TrainingDiverged
 from diffunlearn.nn import init_model
 from diffunlearn.train import (
     TrainConfig,
@@ -13,6 +13,7 @@ from diffunlearn.train import (
     per_sample_losses,
     pretrain,
 )
+from gradcheck import reference_pretrain
 
 
 def small_setup(samples_per_class=60):
@@ -66,12 +67,54 @@ class TestPretrain:
             )
 
     def test_empty_dataset_rejected(self):
-        from diffunlearn.data import LabeledDataset
-
         data, sched, model = small_setup()
         empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
         with pytest.raises(DomainError):
             pretrain(model, empty, sched, TrainConfig(steps=1), 0)
+
+    def test_label_out_of_range_rejected_before_any_step(self):
+        # The whole set is checked on entry, so a bad label raises even
+        # when the seed never draws its sample, and nothing is drawn.
+        data, sched, model = small_setup()
+        labels = np.array(data.labels)
+        bad = len(data) - 1
+        labels[bad] = model.num_classes
+        tainted = LabeledDataset(data.points, labels)
+        config = TrainConfig(steps=1, batch_size=1)
+        assert np.random.default_rng(0).integers(0, len(data), size=1)[0] != bad
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(DomainError, match="class ids"):
+            pretrain(model, tainted, sched, config, gen)
+        assert gen.bit_generator.state == state
+
+    def test_incompatible_model_rejected_on_entry(self):
+        data, sched, model = small_setup()
+        wide = LabeledDataset(np.zeros((len(data), 3)), data.labels)
+        with pytest.raises(ShapeError):
+            pretrain(model, wide, sched, TrainConfig(steps=1), 0)
+        short = init_model(2, (16,), 3, 9, np.random.default_rng(0))
+        with pytest.raises(DomainError, match="timestep table"):
+            pretrain(short, data, sched, TrainConfig(steps=1), 0)
+
+
+@pytest.mark.parametrize(
+    "steps, batch_size, lr_final",
+    [(40, 1, 0.005), (40, 128, 0.005), (40, 128, None), (0, 128, 0.005)],
+)
+@pytest.mark.parametrize("hidden", [(64,), (64, 64), (64, 32, 48)])
+def test_pretrain_matches_per_step_reference(hidden, steps, batch_size, lr_final):
+    # One writable parameter vector stepped through the layer kernels gives
+    # the bytes of subset -> diffusion_loss -> with_params on every step.
+    data, sched, _ = small_setup()
+    model = init_model(2, hidden, 3, 10, np.random.default_rng(0))
+    config = TrainConfig(steps=steps, batch_size=batch_size, lr=0.05, lr_final=lr_final)
+    trained, history = pretrain(model, data, sched, config, 8)
+    ref, ref_history = reference_pretrain(model, data, sched, config, 8)
+    assert trained.params.tobytes() == ref.params.tobytes()
+    assert np.array(history).tobytes() == np.array(ref_history).tobytes()
+    assert len(history) == steps
+    assert not trained.params.flags.writeable
 
 
 class TestLossCap:

@@ -65,7 +65,8 @@ class LabeledDataset:
 
     Attributes:
         points: Sample coordinates, shape (n, input_dim).
-        labels: Class of each sample, shape (n,), nonnegative.
+        labels: Class of each sample, shape (n,), nonnegative, of an
+            integer dtype; floats and bools raise DomainError.
     """
 
     points: np.ndarray
@@ -73,7 +74,11 @@ class LabeledDataset:
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels = np.asarray(self.labels).reshape(-1)
+        # As in nn._checked_rows: a bool or a fraction is not truncated.
+        if labels.dtype.kind not in "iu":
+            raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         if points.ndim != 2:
             raise ShapeError(f"points must be 2-D, got shape {points.shape}")
         if points.shape[0] != labels.shape[0]:

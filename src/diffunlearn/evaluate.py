@@ -20,7 +20,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from . import artifacts
 from .data import MixtureSpec
-from .diffusion import NoiseSchedule, ddpm_sample
+from .diffusion import NoiseSchedule, _sample_classes
 from .errors import DomainError
 from .nn import NoisePredictor
 from .rngs import as_generator
@@ -300,6 +300,10 @@ def full_eval(
 
     Draw order is fixed (forget condition, retained classes ascending, then
     reference draws), so a seed passed as ``rng`` pins the whole report.
+    Every condition is sampled by one lock-step call,
+    ``diffusion._sample_classes``, which checks the classes, the count and
+    the model's timestep table once and gives the bytes and generator state
+    of one ``ddpm_sample`` call per condition in that order.
     """
     if not (0 <= forget_class < spec.num_classes):
         raise DomainError(
@@ -314,31 +318,25 @@ def full_eval(
         for lab in labels:
             counts["none" if lab < 0 else str(int(lab))] += 1
 
-    forget_out = ddpm_sample(model, forget_class, n, schedule, gen)
-    forget_labels = classify_points(forget_out.samples, spec, config.none_threshold)
+    retained = [k for k in range(spec.num_classes) if k != forget_class]
+    samples = _sample_classes(model, [forget_class, *retained], n, schedule, gen)
+    forget_labels = classify_points(samples[0], spec, config.none_threshold)
     tally(forget_labels)
     ua = float(1.0 - np.mean(forget_labels == forget_class))
 
     correct = 0
-    generated_retained = []
-    for k in range(spec.num_classes):
-        if k == forget_class:
-            continue
-        out = ddpm_sample(model, k, n, schedule, gen)
-        labels = classify_points(out.samples, spec, config.none_threshold)
+    for k, generated in zip(retained, samples[1:]):
+        labels = classify_points(generated, spec, config.none_threshold)
         tally(labels)
         correct += int(np.sum(labels == k))
-        generated_retained.append(out.samples)
-    ra = correct / (n * (spec.num_classes - 1))
+    ra = correct / (n * len(retained))
 
     reference = []
-    for k in range(spec.num_classes):
-        if k == forget_class:
-            continue
+    for k in retained:
         noise = gen.standard_normal((n, spec.input_dim))
         reference.append(spec.means[k] + spec.sigma * noise)
     reference = np.concatenate(reference, axis=0)
-    generated = np.concatenate(generated_retained, axis=0)
+    generated = samples[1:].reshape(-1, spec.input_dim)
     bandwidth = (
         median_bandwidth(reference) if config.bandwidth is None else config.bandwidth
     )

@@ -256,7 +256,8 @@ def _forward(views, x, t_select, c_select, hidden=None) -> list:
     """The layer arithmetic of the forward pass, with nothing checked.
 
     ``views`` is an unpacked parameter vector (:func:`_unpack`) and ``x`` a
-    (batch, input_dim) float64 array. ``t_select`` and ``c_select`` index
+    (batch, input_dim) float64 array, or a stack of them, which the
+    sampler's lock-step loop passes. ``t_select`` and ``c_select`` index
     the timestep and class tables for the rows added to the first
     pre-activation: a (batch,) array with one row per sample, or a
     selection of one row (a length-one array or slice), which broadcasts;
@@ -269,8 +270,9 @@ def _forward(views, x, t_select, c_select, hidden=None) -> list:
     output.
 
     The checked wrappers :func:`forward_activations` and :func:`mlp_forward`
-    share this kernel with the loops of ``train.pretrain`` and
-    ``diffusion.ddpm_sample``, which check their inputs once on entry.
+    share this kernel with the loops of ``train.pretrain``,
+    ``unlearn.unlearn_run`` and the sampler in ``diffusion``, which check
+    their inputs once on entry.
     """
     weights, biases, time_table, class_table = views
     hidden = hidden or [None] * (len(weights) - 1)
@@ -302,7 +304,8 @@ def _backward(views, layout, acts, targets, t_rows, c_rows, sample_weights, grad
     sequential scatter-add gives, with no BLAS call.
 
     :func:`backward_from_activations` wraps this kernel; ``train.pretrain``
-    calls it on its own parameter and gradient vectors. Returns ``grad``.
+    and ``unlearn.unlearn_run`` call it on their own parameter and gradient
+    vectors. Returns ``grad``.
     """
     weights = views[0]
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)

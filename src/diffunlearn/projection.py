@@ -71,12 +71,16 @@ def project_away(g, onto) -> np.ndarray:
     onto = np.asarray(onto, dtype=np.float64).reshape(-1)
     if g.shape != onto.shape:
         raise ShapeError(f"vector lengths differ: {g.size} vs {onto.size}")
-    norm_sq = inner(onto, onto)
-    if norm_sq == 0.0:
+    return _project_away(g, onto, inner(g, g), inner(onto, onto), inner(g, onto))
+
+
+def _project_away(g, onto, g_sq, onto_sq, dot) -> np.ndarray:
+    """:func:`project_away` given g . g, onto . onto and g . onto."""
+    if onto_sq == 0.0:
         raise DegenerateGradientError("cannot project away from a zero vector")
-    out = g - (inner(g, onto) / norm_sq) * onto
-    if inner(out, out) < 0.25 * inner(g, g):
-        again = out - (inner(out, onto) / norm_sq) * onto
+    out = g - (dot / onto_sq) * onto
+    if inner(out, out) < 0.25 * g_sq:
+        again = out - (inner(out, onto) / onto_sq) * onto
         if inner(again, again) < 0.25 * inner(out, out):
             return np.zeros_like(g)
         out = again
@@ -90,6 +94,11 @@ def restricted_gradient(grad_f, grad_r) -> RestrictedUpdate:
     orthogonal to the other and the components are summed. Otherwise both
     pass through and combined is exactly grad_f + grad_r.
 
+    ||grad_f||^2, ||grad_r||^2 and grad_f . grad_r are computed once and
+    handed to both projections, which give :func:`project_away`'s bytes:
+    ``inner`` is symmetric bit for bit, since each product commutes and the
+    sum runs in index order.
+
     Raises:
         DegenerateGradientError: both gradients are zero; no direction exists.
     """
@@ -97,14 +106,14 @@ def restricted_gradient(grad_f, grad_r) -> RestrictedUpdate:
     grad_r = np.asarray(grad_r, dtype=np.float64).reshape(-1)
     if grad_f.shape != grad_r.shape:
         raise ShapeError(f"vector lengths differ: {grad_f.size} vs {grad_r.size}")
-    norm_f = math.sqrt(inner(grad_f, grad_f))
-    norm_r = math.sqrt(inner(grad_r, grad_r))
-    if norm_f == 0.0 and norm_r == 0.0:
+    sq_f = inner(grad_f, grad_f)
+    sq_r = inner(grad_r, grad_r)
+    if sq_f == 0.0 and sq_r == 0.0:
         raise DegenerateGradientError("both gradients are zero vectors")
     dot = inner(grad_f, grad_r)
     if dot < 0.0:
-        delta_f = project_away(grad_f, grad_r)
-        delta_r = project_away(grad_r, grad_f)
+        delta_f = _project_away(grad_f, grad_r, sq_f, sq_r, dot)
+        delta_r = _project_away(grad_r, grad_f, sq_r, sq_f, dot)
         conflicted = True
     else:
         delta_f = grad_f.copy()
@@ -116,6 +125,6 @@ def restricted_gradient(grad_f, grad_r) -> RestrictedUpdate:
         combined=delta_f + delta_r,
         conflicted=conflicted,
         dot=dot,
-        norm_f=norm_f,
-        norm_r=norm_r,
+        norm_f=math.sqrt(sq_f),
+        norm_r=math.sqrt(sq_r),
     )

@@ -28,8 +28,15 @@ import numpy as np
 from . import artifacts
 from .data import LabeledDataset
 from .diffusion import NoiseSchedule, diffusion_loss, draw_corruption
-from .errors import DegenerateGradientError, DomainError, TrainingDiverged
-from .nn import NoisePredictor, backward_from_activations, forward_activations
+from .errors import DegenerateGradientError, DomainError, ShapeError, TrainingDiverged
+from .nn import (
+    NoisePredictor,
+    _backward,
+    _forward,
+    _unpack,
+    backward_from_activations,
+    forward_activations,
+)
 from .projection import inner, restricted_gradient
 from .rngs import as_generator
 
@@ -160,14 +167,50 @@ def forgetting_loss(
     x_t, t, eps = draw_corruption(schedule, forget_batch, rng)
     acts, t_rows, c_rows = forward_activations(model, x_t, t, class_ids)
     per_sample = ((acts[-1] - eps) ** 2).sum(axis=1)
-    batch = per_sample.shape[0]
-    contributes = per_sample < loss_cap
-    weights = np.where(contributes, -forget_weight / batch, 0.0)
+    weights, loss_f, raw_mse, truncated = _truncation(per_sample, forget_weight, loss_cap)
     grad = backward_from_activations(model, acts, eps, t_rows, c_rows, weights)
+    return loss_f, grad, raw_mse, truncated
+
+
+def _truncation(per_sample, forget_weight: float, loss_cap: float):
+    """The truncated forgetting objective on per-sample errors.
+
+    Returns (sample_weights, loss_f, raw_mse, truncated_fraction): samples
+    at or past ``loss_cap`` get weight zero, the rest -forget_weight/batch.
+    """
+    contributes = per_sample < loss_cap
+    weights = np.where(contributes, -forget_weight / per_sample.shape[0], 0.0)
     loss_f = -forget_weight * float(np.minimum(per_sample, loss_cap).mean()) + 0.0
     raw_mse = float(per_sample.mean())
     truncated = float(1.0 - contributes.mean())
-    return loss_f, grad, raw_mse, truncated
+    return weights, loss_f, raw_mse, truncated
+
+
+def _direction(rule: str, grad_f, grad_r, iteration: int):
+    """(update direction, grad_f . grad_r) under the update rule ``rule``.
+
+    The direction is ``grad_r`` itself for finetune and a new array
+    otherwise. A degenerate restricted step (both gradients zero) becomes a
+    logged no-op: a zero direction.
+    """
+    if rule == "restricted":
+        try:
+            update = restricted_gradient(grad_f, grad_r)
+            return update.combined, update.dot
+        except DegenerateGradientError:
+            log.warning(
+                "iteration %d: both gradients vanished; applying no-op step",
+                iteration,
+            )
+            return np.zeros_like(grad_f), inner(grad_f, grad_r)
+    direction = grad_r if rule == "finetune" else grad_f + grad_r
+    return direction, inner(grad_f, grad_r)
+
+
+def _descend(params, direction, step_size: float) -> None:
+    """params -= step_size * direction, in place; ``direction`` is scaled."""
+    direction *= step_size
+    params -= direction
 
 
 def unlearn_step(
@@ -202,30 +245,17 @@ def unlearn_step(
     loss_r, grad_r = diffusion_loss(
         model, remain_batch.points, remain_batch.labels, schedule, rng
     )
-    dot = inner(grad_f, grad_r)
-    conflicted = dot < 0.0
-
     rule, _ = parse_strategy(config.strategy)
-    if rule == "finetune":
-        direction = grad_r
-    elif rule == "graddiff":
-        direction = grad_f + grad_r
-    else:
-        try:
-            direction = restricted_gradient(grad_f, grad_r).combined
-        except DegenerateGradientError:
-            log.warning(
-                "iteration %d: both gradients vanished; applying no-op step",
-                iteration,
-            )
-            direction = np.zeros(model.num_params)
-    updated = model.with_params(model.params - config.step_size * direction)
+    direction, dot = _direction(rule, grad_f, grad_r, iteration)
+    params = np.array(model.params)
+    _descend(params, direction, config.step_size)
+    updated = model.with_params(params)
     report = StepReport(
         iteration=iteration,
         loss_r=loss_r,
         loss_f=loss_f,
         raw_forget_mse=raw_mse,
-        conflicted=conflicted,
+        conflicted=dot < 0.0,
         dot=dot,
         truncated_fraction=truncated,
     )
@@ -259,8 +289,22 @@ def unlearn_run(
     """Run the full unlearning loop.
 
     Minibatches are drawn with replacement each iteration: forget indices,
-    then remain indices, then the step's corruption draws, all from one
-    stream, so a (config, seed) pair pins the entire run bit-for-bit.
+    then remain indices, then the step's corruption draws (the forget
+    batch's, then the remain batch's), all from one stream, so a (config,
+    seed) pair pins the entire run bit-for-bit.
+
+    Checked once on entry, before any draw: both sets are non-empty, their
+    points have ``input_dim`` columns, every label lies in
+    0..num_classes-1 and the model's timestep table covers the schedule.
+    The strategy is parsed once. Each step then gathers its minibatch
+    points and labels directly and runs the layer kernels ``nn._forward``
+    and ``nn._backward`` on one writable copy of the parameters, unpacked
+    once and updated in place, with one hidden-layer buffer set per batch
+    size and one gradient vector per objective. The truncation, the
+    strategy's direction and the update are the helpers
+    :func:`unlearn_step` uses, so the final parameters and every report
+    equal those of a loop over ``subset``, :func:`unlearn_step` and
+    ``with_params``; the returned model is built once, at the end.
 
     Args:
         rng: Overrides config.seed when given (seed or Generator).
@@ -273,8 +317,37 @@ def unlearn_run(
     """
     if len(forget_set) == 0 or len(remain_set) == 0:
         raise DomainError("forget and remain sets must be nonempty")
+    for data in (forget_set, remain_set):
+        if data.points.shape[1] != model.input_dim:
+            raise ShapeError(
+                f"points have {data.points.shape[1]} columns, "
+                f"model takes {model.input_dim}"
+            )
+        if data.labels.max() >= model.num_classes:
+            raise DomainError(f"class ids must lie in 0..{model.num_classes - 1}")
+    if model.num_timesteps < schedule.num_timesteps:
+        raise DomainError("model timestep table is smaller than the schedule horizon")
     gen, _ = as_generator(config.seed if rng is None else rng)
-    _, stratify = parse_strategy(config.strategy)
+    rule, stratify = parse_strategy(config.strategy)
+    params = np.array(model.params)
+    layout = model.layout
+    views = _unpack(layout, params)
+    grad_f, grad_r = np.empty_like(params), np.empty_like(params)
+    hidden = {
+        batch: [np.empty((batch, width)) for width in model.hidden_dims]
+        for batch in (config.batch_forget, config.batch_remain)
+    }
+    remain_weights = np.full(config.batch_remain, 1.0 / config.batch_remain)
+
+    def corrupted_forward(data, idx):
+        # One minibatch's corruption draws, forward pass and per-sample errors.
+        c_rows = data.labels[idx]
+        x_t, t, eps = draw_corruption(schedule, data.points[idx], gen)
+        t_rows = t - 1
+        acts = _forward(views, x_t, t_rows, c_rows, hidden[len(idx)])
+        per_sample = ((acts[-1] - eps) ** 2).sum(axis=1)
+        return per_sample, (views, layout, acts, eps, t_rows, c_rows)
+
     reports = []
     for iteration in range(config.iterations):
         f_idx = gen.integers(0, len(forget_set), size=config.batch_forget)
@@ -282,23 +355,34 @@ def unlearn_run(
             r_idx = _stratified_indices(remain_set.labels, config.batch_remain, gen)
         else:
             r_idx = gen.integers(0, len(remain_set), size=config.batch_remain)
-        model, report = unlearn_step(
-            model,
-            forget_set.subset(f_idx),
-            remain_set.subset(r_idx),
-            schedule,
-            config,
-            gen,
-            iteration=iteration,
+        per_sample, pass_f = corrupted_forward(forget_set, f_idx)
+        weights, loss_f, raw_mse, truncated = _truncation(
+            per_sample, config.forget_weight, config.loss_cap
         )
+        _backward(*pass_f, weights, grad_f)
+        per_sample, pass_r = corrupted_forward(remain_set, r_idx)
+        loss_r = float(per_sample.mean())
+        _backward(*pass_r, remain_weights, grad_r)
+        direction, dot = _direction(rule, grad_f, grad_r, iteration)
+        _descend(params, direction, config.step_size)
         if not (
-            math.isfinite(report.loss_f)
-            and math.isfinite(report.loss_r)
-            and np.isfinite(model.params).all()
+            math.isfinite(loss_f)
+            and math.isfinite(loss_r)
+            and np.isfinite(params).all()
         ):
             raise TrainingDiverged(f"unlearning diverged at iteration {iteration}")
-        reports.append(report)
-    return model, reports
+        reports.append(
+            StepReport(
+                iteration=iteration,
+                loss_r=loss_r,
+                loss_f=loss_f,
+                raw_forget_mse=raw_mse,
+                conflicted=dot < 0.0,
+                dot=dot,
+                truncated_fraction=truncated,
+            )
+        )
+    return model.with_params(params), reports
 
 
 def write_trajectory_csv(reports, path) -> None:

@@ -1,17 +1,27 @@
 """Oracles shared by the tests: central differences, the reference
 ``np.add.at`` backward pass, out-of-place references for the forward pass and
-the kernel statistics, per-step references for the pretraining loop and the
-sampler, and a peak-allocation probe."""
+the kernel statistics, per-step references for the pretraining loop, the
+sampler, the evaluation's per-condition sampling and the unlearning loop, a
+``project_away``-based restricted combination, and a peak-allocation probe."""
 
+import logging
+import math
 import tracemalloc
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from diffunlearn.diffusion import diffusion_loss
-from diffunlearn.errors import DomainError, TrainingDiverged
-from diffunlearn.nn import mlp_forward
+from diffunlearn.errors import DegenerateGradientError, DomainError, TrainingDiverged
+from diffunlearn.nn import _forward, mlp_forward
+from diffunlearn.projection import inner
 from diffunlearn.rngs import as_generator
+from diffunlearn.unlearn import (
+    StepReport,
+    _stratified_indices,
+    forgetting_loss,
+    parse_strategy,
+)
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, h: float) -> np.ndarray:
@@ -119,6 +129,120 @@ def reference_ddpm_sample(model, class_id, n, schedule, rng):
         else:
             x = mu
     return x
+
+
+def serial_ddpm_sample(model, class_id, n, schedule, gen):
+    """One condition's chains alone, as ``ddpm_sample`` ran them before the
+    lock-step sampler: (n, input_dim) arrays through ``nn._forward``, one
+    reused buffer per hidden layer. ``class_id`` is a valid scalar class."""
+    views = model.unpack()
+    c_select = np.array([class_id])
+    betas, alpha_bars = schedule.betas, schedule.alpha_bars
+    eps_scale = betas / np.sqrt(1.0 - alpha_bars)
+    keep_scale = np.sqrt(1.0 - betas)
+    noise_scale = np.sqrt(betas)
+    hidden = [np.empty((n, width)) for width in model.hidden_dims]
+    x = gen.standard_normal((n, model.input_dim))
+    for i in range(schedule.num_timesteps - 1, -1, -1):  # i = t - 1
+        eps_hat = _forward(views, x, slice(i, i + 1), c_select, hidden)[-1]
+        mu = (x - eps_scale[i] * eps_hat) / keep_scale[i]
+        if i > 0:
+            x = mu + noise_scale[i] * gen.standard_normal((n, model.input_dim))
+        else:
+            x = mu
+    return x
+
+
+def reference_full_eval_samples(model, classes, n, schedule, gen):
+    """Reference for ``diffusion._sample_classes``: the per-condition
+    sampler calls ``full_eval`` made before the lock-step sampler, one
+    :func:`serial_ddpm_sample` per class in order on ``gen``."""
+    return np.stack([serial_ddpm_sample(model, k, n, schedule, gen) for k in classes])
+
+
+def reference_unlearn_step(model, forget_batch, remain_batch, schedule, config, rng,
+                           iteration=0):
+    """Reference for ``unlearn.unlearn_step``: the step as it was before the
+    shared helpers, with the update rebuilt by ``with_params``."""
+    loss_f, grad_f, raw_mse, truncated = forgetting_loss(
+        model, forget_batch.points, forget_batch.labels, schedule,
+        config.forget_weight, config.loss_cap, rng,
+    )
+    loss_r, grad_r = diffusion_loss(
+        model, remain_batch.points, remain_batch.labels, schedule, rng
+    )
+    dot = inner(grad_f, grad_r)
+    rule, _ = parse_strategy(config.strategy)
+    if rule == "finetune":
+        direction = grad_r
+    elif rule == "graddiff":
+        direction = grad_f + grad_r
+    else:
+        try:
+            direction = reference_restricted_combined(grad_f, grad_r)
+        except DegenerateGradientError:
+            logging.getLogger("diffunlearn.unlearn").warning(
+                "iteration %d: both gradients vanished; applying no-op step",
+                iteration,
+            )
+            direction = np.zeros(model.num_params)
+    updated = model.with_params(model.params - config.step_size * direction)
+    report = StepReport(
+        iteration=iteration, loss_r=loss_r, loss_f=loss_f, raw_forget_mse=raw_mse,
+        conflicted=dot < 0.0, dot=dot, truncated_fraction=truncated,
+    )
+    return updated, report
+
+
+def reference_unlearn_run(model, forget_set, remain_set, schedule, config, rng=None):
+    """Reference for ``unlearn.unlearn_run``: the loop as it was before the
+    check-once rewrite, one ``subset`` pair and one
+    :func:`reference_unlearn_step` per iteration."""
+    gen, _ = as_generator(config.seed if rng is None else rng)
+    _, stratify = parse_strategy(config.strategy)
+    reports = []
+    for iteration in range(config.iterations):
+        f_idx = gen.integers(0, len(forget_set), size=config.batch_forget)
+        if stratify:
+            r_idx = _stratified_indices(remain_set.labels, config.batch_remain, gen)
+        else:
+            r_idx = gen.integers(0, len(remain_set), size=config.batch_remain)
+        model, report = reference_unlearn_step(
+            model, forget_set.subset(f_idx), remain_set.subset(r_idx),
+            schedule, config, gen, iteration=iteration,
+        )
+        if not (
+            math.isfinite(report.loss_f)
+            and math.isfinite(report.loss_r)
+            and np.isfinite(model.params).all()
+        ):
+            raise TrainingDiverged(f"unlearning diverged at iteration {iteration}")
+        reports.append(report)
+    return model, reports
+
+
+def reference_project_away(g, onto):
+    """``projection.project_away`` as it was, every inner product its own."""
+    norm_sq = inner(onto, onto)
+    if norm_sq == 0.0:
+        raise DegenerateGradientError("cannot project away from a zero vector")
+    out = g - (inner(g, onto) / norm_sq) * onto
+    if inner(out, out) < 0.25 * inner(g, g):
+        again = out - (inner(out, onto) / norm_sq) * onto
+        if inner(again, again) < 0.25 * inner(out, out):
+            return np.zeros_like(g)
+        out = again
+    return out
+
+
+def reference_restricted_combined(grad_f, grad_r):
+    """``restricted_gradient(grad_f, grad_r).combined`` as it was: each
+    projection through :func:`reference_project_away`."""
+    if math.sqrt(inner(grad_f, grad_f)) == 0.0 and math.sqrt(inner(grad_r, grad_r)) == 0.0:
+        raise DegenerateGradientError("both gradients are zero vectors")
+    if inner(grad_f, grad_r) < 0.0:
+        return reference_project_away(grad_f, grad_r) + reference_project_away(grad_r, grad_f)
+    return grad_f.copy() + grad_r.copy()
 
 
 def full_matrix_mmd_terms(a, b, bandwidth):

@@ -56,6 +56,37 @@ class TestMixtureSpec:
         )
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [
+        np.array([0.5, 1.7, 1.0]),
+        np.array([0.0, 1.0, 2.0]),
+        np.array([True, False, True]),
+        np.array([0.5, 1.7, True]),
+        [0, 1.5, 2],
+    ])
+    def test_non_integer_labels_rejected(self, labels):
+        # A fraction or a bool is an error, never truncated to a class.
+        with pytest.raises(DomainError, match="integers"):
+            LabeledDataset(np.zeros((3, 2)), labels)
+
+    def test_integer_labels_pass(self):
+        for labels in (np.array([0, 2, 1], dtype=np.uint8), [0, 2, 1]):
+            data = LabeledDataset(np.zeros((3, 2)), labels)
+            assert data.labels.dtype == np.int64
+            assert list(data.labels) == [0, 2, 1]
+        empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
+        assert len(empty) == 0
+
+    def test_generated_and_loaded_sets_still_load(self, tmp_path):
+        data = gen_mixture(circle_mixture(samples_per_class=5), 1)
+        path = tmp_path / "data.jsonl"
+        save_dataset(data, path)
+        assert np.array_equal(load_dataset(path).labels, data.labels)
+        path.write_text('{"x": [0.0, 1.0], "label": 1.5}\n')
+        with pytest.raises(DomainError, match="integers"):
+            load_dataset(path)
+
+
 class TestGenMixture:
     def test_tiny_sigma_pins_points_to_means(self):
         spec = MixtureSpec(

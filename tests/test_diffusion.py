@@ -8,13 +8,20 @@ import pytest
 from diffunlearn import diffusion
 from diffunlearn.diffusion import (
     NoiseSchedule,
+    _sample_classes,
     ddpm_sample,
     diffusion_loss,
+    draw_corruption,
     q_sample,
 )
 from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import init_model, param_count, NoisePredictor
-from gradcheck import finite_diff_grad, peak_allocation, reference_ddpm_sample
+from gradcheck import (
+    finite_diff_grad,
+    peak_allocation,
+    reference_ddpm_sample,
+    reference_full_eval_samples,
+)
 
 
 class TestMakeSchedule:
@@ -64,6 +71,37 @@ class TestMakeSchedule:
             assert np.all(np.diff(sched.alpha_bars) < 0.0)
             assert np.all((sched.alpha_bars > 0.0) & (sched.alpha_bars < 1.0))
 
+    def test_sqrt_vectors_are_derived_read_only_state(self):
+        sched = NoiseSchedule(100, 1e-4, 0.1)
+        assert sched.sqrt_alpha_bars.tobytes() == np.sqrt(sched.alpha_bars).tobytes()
+        assert (
+            sched.sqrt_one_minus_alpha_bars.tobytes()
+            == np.sqrt(1.0 - sched.alpha_bars).tobytes()
+        )
+        for arr in (sched.sqrt_alpha_bars, sched.sqrt_one_minus_alpha_bars):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert [f.name for f in dataclasses.fields(sched)] == [
+            "num_timesteps", "beta_min", "beta_max"
+        ]
+        assert sched == NoiseSchedule(100, 1e-4, 0.1)
+
+
+
+class TestDrawCorruption:
+    def test_matches_q_sample_of_its_draws(self):
+        # draw_corruption indexes the schedule's sqrt vectors with t - 1
+        # unchecked; q_sample checks t and takes the same rows.
+        sched = NoiseSchedule(100, 1e-4, 0.1)
+        x0 = np.random.default_rng(0).standard_normal((128, 2))
+        x_t, t, eps = draw_corruption(sched, x0, np.random.default_rng(5))
+        replay = np.random.default_rng(5)
+        assert np.array_equal(t, replay.integers(1, 101, size=128))
+        assert np.array_equal(eps, replay.standard_normal((128, 2)))
+        assert x_t.tobytes() == q_sample(x0, t, eps, sched).tobytes()
+        abar = sched.alpha_bars[t - 1][:, None]
+        old = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+        assert x_t.tobytes() == old.tobytes()
 
 
 class TestQSample:
@@ -284,3 +322,82 @@ class TestDdpmSample:
         se = out.samples.std(axis=0, ddof=1) / np.sqrt(10_000)
         assert np.all(np.abs(out.samples.mean(axis=0) - mu0) < 3 * se)
         assert np.all(np.isfinite(out.samples))
+
+
+class TestLockStepSampler:
+    """diffusion._sample_classes, full_eval's sampler, against the serial
+    per-condition sampler it replaced."""
+
+    @staticmethod
+    def model(hidden, seed=31, steps=6):
+        rng = np.random.default_rng(seed)
+        model = init_model(2, hidden, 5, steps, rng)
+        return model.with_params(model.params + 0.1 * rng.standard_normal(model.num_params))
+
+    @pytest.mark.parametrize("n", (1, 7, 50, 1024, 1025, 1500))
+    @pytest.mark.parametrize("hidden", ((64,), (64, 64), (64, 32, 48)))
+    def test_matches_serial_samples_and_generator_state(self, hidden, n):
+        # C = 1..5 conditions, every forget class first, the rest ascending;
+        # n crosses the row budget, so groups of one to five conditions run.
+        sched = NoiseSchedule(6, 1e-3, 0.2)
+        model = self.model(hidden)
+        for count in range(1, 6):
+            for forget in range(count):
+                classes = [forget, *(k for k in range(count) if k != forget)]
+                gen, ref_gen = np.random.default_rng(count), np.random.default_rng(count)
+                out = _sample_classes(model, classes, n, sched, gen)
+                ref = reference_full_eval_samples(model, classes, n, sched, ref_gen)
+                assert out.shape == (count, n, 2)
+                assert out.tobytes() == ref.tobytes()
+                assert gen.standard_normal(3).tobytes() == ref_gen.standard_normal(3).tobytes()
+
+    def test_classes_checked_before_any_draw(self):
+        sched = NoiseSchedule(6, 1e-3, 0.2)
+        model = self.model((8,))
+        gen = np.random.default_rng(0)
+        for bad in ([0, 5], [-1, 2], [1.5, 0], [True, 0], [0, np.float64(2.5)]):
+            with pytest.raises(DomainError, match="class ids"):
+                _sample_classes(model, bad, 10, sched, gen)
+        with pytest.raises(DomainError, match="horizon"):
+            _sample_classes(model, [0, 1], 10, NoiseSchedule(7, 1e-3, 0.2), gen)
+        assert gen.standard_normal(2).tobytes() == np.random.default_rng(0).standard_normal(2).tobytes()
+
+    def test_integral_float_class_is_that_class(self):
+        sched = NoiseSchedule(6, 1e-3, 0.2)
+        model = self.model((8,))
+        got = _sample_classes(model, [2.0, np.float64(0.0)], 10, sched, np.random.default_rng(4))
+        want = _sample_classes(model, [2, 0], 10, sched, np.random.default_rng(4))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("steps", (50, 300))
+    def test_matches_serial_when_noise_budget_splits_groups(self, steps):
+        # At n = 200 the row budget stacks all five conditions; at T = 300
+        # the noise budget cuts them into groups of two, which must not
+        # change a byte.
+        n = 200
+        sched = NoiseSchedule(steps, 1e-3, 0.2)
+        model = self.model((16,), steps=steps)
+        expected = min(5, diffusion._ROWS // n, 1 + diffusion._NOISE_ROWS // (steps * n))
+        assert expected == (5 if steps == 50 else 2)
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        out = _sample_classes(model, [3, 0, 1, 2, 4], n, sched, gen)
+        ref = reference_full_eval_samples(model, [3, 0, 1, 2, 4], n, sched, ref_gen)
+        assert out.tobytes() == ref.tobytes()
+        assert gen.standard_normal(3).tobytes() == ref_gen.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("steps", (50, 1000))
+    def test_peak_allocation_is_one_group_plus_its_noise(self, steps):
+        # One group's hidden buffers, plus the earlier conditions' noise:
+        # at most one row budget of draws per step, for up to 100 steps,
+        # whatever the number of steps. At T = 1000, stacking all five
+        # conditions would pre-draw 8 times that.
+        hidden, n = (64, 64), 200
+        sched = NoiseSchedule(steps, 1e-3, 0.2)
+        model = self.model(hidden, steps=steps)
+        rows = 5 * n
+        assert rows <= diffusion._ROWS
+        peak = peak_allocation(
+            _sample_classes, model, [0, 1, 2, 3, 4], n, sched, np.random.default_rng(2)
+        )
+        noise = diffusion._ROWS * min(steps, 100) * 2 * 8
+        assert peak <= (len(hidden) + 0.5) * rows * hidden[0] * 8 + noise

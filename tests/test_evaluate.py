@@ -7,7 +7,7 @@ import pytest
 
 from diffunlearn import evaluate as evaluate_mod
 from diffunlearn.data import MixtureSpec, circle_mixture
-from diffunlearn.diffusion import NoiseSchedule, SamplerOutput, ddpm_sample
+from diffunlearn.diffusion import NoiseSchedule, ddpm_sample
 from diffunlearn.errors import DomainError
 from diffunlearn.evaluate import (
     EvalConfig,
@@ -24,6 +24,7 @@ from gradcheck import (
     full_matrix_mmd,
     full_matrix_mmd_terms,
     peak_allocation,
+    reference_full_eval_samples,
 )
 
 
@@ -37,11 +38,14 @@ def two_blob_spec():
 
 
 def stub_sampler(per_class_point):
-    """ddpm_sample lookalike emitting a fixed point per conditioning class."""
+    """Lookalike of full_eval's sampler, ``diffusion._sample_classes``,
+    emitting a fixed point per conditioning class."""
 
-    def fake(model, class_id, n, schedule, rng):
-        samples = np.tile(np.asarray(per_class_point[class_id], dtype=float), (n, 1))
-        return SamplerOutput(samples=samples, seed=None)
+    def fake(model, classes, n, schedule, gen):
+        return np.stack([
+            np.tile(np.asarray(per_class_point[k], dtype=float), (n, 1))
+            for k in classes
+        ])
 
     return fake
 
@@ -110,7 +114,7 @@ class TestAccuracies:
                               samples_per_class=10)
 
     def report(self, monkeypatch, spec, table, n=30):
-        monkeypatch.setattr(evaluate_mod, "ddpm_sample", stub_sampler(table))
+        monkeypatch.setattr(evaluate_mod, "_sample_classes", stub_sampler(table))
         return full_eval(None, 0, spec, None, EvalConfig(n_per_condition=n), 1)
 
     def test_ua_zero_when_generator_still_emits_class(self, monkeypatch):
@@ -440,6 +444,19 @@ class TestFullEval:
         assert 0.0 <= report.ua <= 1.0
         assert 0.0 <= report.ra <= 1.0
 
+    @pytest.mark.parametrize("n", (7, 400, 1100))
+    def test_matches_serial_sampling(self, toy3, monkeypatch, n):
+        # The report of one lock-step sampling call equals the report of one
+        # serial sampler run per condition, every float bit for bit.
+        config = EvalConfig(n_per_condition=n)
+        for forget in range(3):
+            got = full_eval(toy3.model, forget, toy3.spec, toy3.schedule, config, 5)
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluate_mod, "_sample_classes", reference_full_eval_samples)
+                want = full_eval(toy3.model, forget, toy3.spec, toy3.schedule, config, 5)
+            assert got == want
+            assert np.float64(got.mmd).tobytes() == np.float64(want.mmd).tobytes()
+
     def test_deterministic_per_seed(self, toy3):
         config = EvalConfig(n_per_condition=100)
         a = full_eval(toy3.model, 0, toy3.spec, toy3.schedule, config, 21)
@@ -449,6 +466,16 @@ class TestFullEval:
     def test_invalid_forget_class_rejected(self, toy3):
         with pytest.raises(DomainError):
             full_eval(toy3.model, 3, toy3.spec, toy3.schedule, EvalConfig(), 0)
+
+    @pytest.mark.parametrize("bad", (1.5, True, np.float64(0.5)))
+    def test_fractional_or_bool_forget_class_rejected(self, toy3, bad):
+        with pytest.raises(DomainError, match="class ids"):
+            full_eval(toy3.model, bad, toy3.spec, toy3.schedule, EvalConfig(), 0)
+
+    def test_integral_float_forget_class_is_that_class(self, toy3):
+        config = EvalConfig(n_per_condition=50)
+        got = full_eval(toy3.model, 2.0, toy3.spec, toy3.schedule, config, 6)
+        assert got == full_eval(toy3.model, 2, toy3.spec, toy3.schedule, config, 6)
 
     def test_report_json_roundtrip(self, tmp_path, toy3):
         report = full_eval(

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diffunlearn.errors import DegenerateGradientError, ShapeError
-from diffunlearn.projection import project_away, restricted_gradient
+from diffunlearn.projection import inner, project_away, restricted_gradient
+from gradcheck import reference_restricted_combined
 
 
 def finite_vectors(dim):
@@ -246,3 +247,42 @@ class TestGradientDirectionOptimality:
                 u = rng.standard_normal(d)
                 u /= np.linalg.norm(u)
                 assert directional(u) <= along_grad + 1e-9 * max(gnorm, 1.0)
+
+
+class TestSharedInnerProducts:
+    """restricted_gradient computes |g_f|^2, |g_r|^2 and g_f . g_r once and
+    hands them to both projections."""
+
+    def test_inner_is_symmetric_bitwise(self):
+        rng = np.random.default_rng(0)
+        for size in (1, 7, 4321):
+            a, b = rng.standard_normal((2, size)) * rng.uniform(1e-3, 1e3, size=(2, 1))
+            assert inner(a, b) == inner(b, a)
+
+    def pairs(self):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal(3000)
+        tilt = rng.standard_normal(3000)
+        yield "random", g, -0.3 * g + rng.standard_normal(3000)
+        # A residual shorter than half of g takes the second pass.
+        yield "near-parallel", g, -2.5 * g + 1e-3 * tilt
+        yield "near-parallel, far side", -2.5 * g + 1e-3 * tilt, g
+        yield "exactly parallel", g, -2.0 * g
+
+    def test_combined_matches_project_away_reference(self):
+        for name, grad_f, grad_r in self.pairs():
+            update = restricted_gradient(grad_f, grad_r)
+            assert update.conflicted, name
+            ref = reference_restricted_combined(grad_f, grad_r)
+            assert update.combined.tobytes() == ref.tobytes(), name
+            assert update.delta_f.tobytes() == project_away(grad_f, grad_r).tobytes()
+            assert update.delta_r.tobytes() == project_away(grad_r, grad_f).tobytes()
+
+    def test_second_pass_taken_on_near_parallel_pair(self):
+        # The first residual of a near-parallel pair is under half of g, so
+        # project_away projects again; the exactly parallel pair ends at zero.
+        (_, g, onto), = [p for p in self.pairs() if p[0] == "near-parallel"]
+        once = g - (inner(g, onto) / inner(onto, onto)) * onto
+        assert inner(once, once) < 0.25 * inner(g, g)
+        (_, g, onto), = [p for p in self.pairs() if p[0] == "exactly parallel"]
+        assert not project_away(g, onto).any()

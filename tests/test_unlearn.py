@@ -8,7 +8,7 @@ import pytest
 from diffunlearn import unlearn as unlearn_mod
 from diffunlearn.data import LabeledDataset, balanced_remaining_set
 from diffunlearn.diffusion import NoiseSchedule, diffusion_loss
-from diffunlearn.errors import DomainError
+from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import (
     NoisePredictor,
     init_model,
@@ -27,7 +27,7 @@ from diffunlearn.unlearn import (
     unlearn_step,
     write_trajectory_csv,
 )
-from gradcheck import finite_diff_grad
+from gradcheck import finite_diff_grad, reference_unlearn_run, reference_unlearn_step
 
 
 def zero_model(num_classes=2, num_timesteps=4):
@@ -374,3 +374,129 @@ class TestTrajectoryCsv:
         path.write_text("iteration,loss\n0,1.0\n")
         with pytest.raises(DomainError):
             read_trajectory_csv(path)
+
+
+class TestCheckOnceLoop:
+    """unlearn_run against the loop it replaced: subset minibatches, the
+    checked public losses and with_params every step."""
+
+    @staticmethod
+    def sets(toy3):
+        remain = balanced_remaining_set(toy3.data, 0, 40, 3)
+        return toy3.data.class_subset(0), remain
+
+    @staticmethod
+    def assert_same_run(run, ref):
+        (final, reports), (ref_final, ref_reports) = run, ref
+        assert final.params.tobytes() == ref_final.params.tobytes()
+        assert len(reports) == len(ref_reports)
+        for got, want in zip(reports, ref_reports):
+            assert got == want
+            assert np.float64(got.dot).tobytes() == np.float64(want.dot).tobytes()
+
+    @pytest.mark.parametrize("strategy", [
+        "restricted", "graddiff", "finetune",
+        "restricted+diverse", "graddiff+diverse", "finetune+diverse",
+    ])
+    def test_matches_reference_for_every_strategy(self, toy3, strategy):
+        forget, remain = self.sets(toy3)
+        cfg = UnlearnConfig(
+            forget_weight=5.0, loss_cap=0.8, step_size=2e-3, iterations=25,
+            batch_forget=24, batch_remain=24, strategy=strategy, seed=4,
+        )
+        args = (toy3.model, forget, remain, toy3.schedule, cfg)
+        self.assert_same_run(unlearn_run(*args), reference_unlearn_run(*args))
+
+    @pytest.mark.parametrize("forget_weight, batches", [
+        (0.0, (16, 16)), (5.0, (7, 33)), (1.0, (40, 5)),
+    ])
+    def test_matches_reference_on_zero_weight_and_unequal_batches(
+        self, toy3, forget_weight, batches
+    ):
+        forget, remain = self.sets(toy3)
+        cfg = UnlearnConfig(
+            forget_weight=forget_weight, loss_cap=1.0, iterations=15,
+            batch_forget=batches[0], batch_remain=batches[1], seed=8,
+        )
+        args = (toy3.model, forget, remain, toy3.schedule, cfg)
+        self.assert_same_run(unlearn_run(*args), reference_unlearn_run(*args))
+        gen = np.random.default_rng(21)
+        self.assert_same_run(
+            unlearn_run(*args, rng=gen),
+            reference_unlearn_run(*args, rng=np.random.default_rng(21)),
+        )
+
+    def test_unlearn_step_matches_reference(self, toy3):
+        forget, remain = self.sets(toy3)
+        fb, rb = batch_of(forget, 1, 20), batch_of(remain, 2, 30)
+        for strategy in ("restricted", "graddiff", "finetune"):
+            cfg = UnlearnConfig(loss_cap=0.8, strategy=strategy, iterations=1)
+            got = unlearn_step(toy3.model, fb, rb, toy3.schedule, cfg,
+                               np.random.default_rng(6), iteration=3)
+            want = reference_unlearn_step(toy3.model, fb, rb, toy3.schedule, cfg,
+                                          np.random.default_rng(6), iteration=3)
+            assert got[0].params.tobytes() == want[0].params.tobytes()
+            assert got[1] == want[1]
+
+    def test_degenerate_steps_noop_and_logged(self, toy3, monkeypatch, caplog):
+        # Both gradients exactly zero every step: each restricted step is a
+        # logged no-op in the loop as in the reference.
+        from diffunlearn import nn as nn_mod
+
+        def zero_backward(views, layout, acts, targets, t_rows, c_rows, w, grad):
+            grad[:] = 0.0
+            return grad
+
+        monkeypatch.setattr(nn_mod, "_backward", zero_backward)
+        monkeypatch.setattr(unlearn_mod, "_backward", zero_backward)
+        forget, remain = self.sets(toy3)
+        cfg = UnlearnConfig(loss_cap=1.0, iterations=3, batch_forget=8,
+                            batch_remain=8, strategy="restricted")
+        args = (toy3.model, forget, remain, toy3.schedule, cfg)
+        with caplog.at_level(logging.WARNING, logger="diffunlearn.unlearn"):
+            run = unlearn_run(*args)
+        logged = [r.message for r in caplog.records if "no-op" in r.message]
+        assert logged == [
+            f"iteration {i}: both gradients vanished; applying no-op step"
+            for i in range(3)
+        ]
+        self.assert_same_run(run, reference_unlearn_run(*args))
+        assert run[0].params.tobytes() == toy3.model.params.tobytes()
+        assert all(r.dot == 0.0 and not r.conflicted for r in run[1])
+
+    def untouched(self, gen, seed):
+        return gen.standard_normal(4).tobytes() == np.random.default_rng(seed).standard_normal(4).tobytes()
+
+    def test_undrawn_out_of_range_remain_label_raises_on_entry(self, toy3):
+        forget, remain = self.sets(toy3)
+        # One label past the model's classes at the end of a large set: the
+        # old loop never drew it at this seed and ran to the end.
+        labels = np.array(remain.labels)
+        labels[-1] = toy3.model.num_classes
+        tainted = LabeledDataset(remain.points, labels)
+        cfg = UnlearnConfig(loss_cap=1.0, iterations=2, batch_forget=4,
+                            batch_remain=4, seed=1)
+        reference_unlearn_run(toy3.model, forget, tainted, toy3.schedule, cfg)
+        gen = np.random.default_rng(1)
+        with pytest.raises(DomainError, match="class ids"):
+            unlearn_run(toy3.model, forget, tainted, toy3.schedule, cfg, rng=gen)
+        assert self.untouched(gen, 1)
+
+    def test_wrong_point_columns_raise_on_entry(self, toy3):
+        forget, remain = self.sets(toy3)
+        wide = LabeledDataset(np.zeros((len(remain), 3)), remain.labels)
+        cfg = UnlearnConfig(loss_cap=1.0, iterations=1)
+        for f, r in ((forget, wide), (LabeledDataset(np.zeros((5, 3)), np.zeros(5, dtype=int)), remain)):
+            gen = np.random.default_rng(2)
+            with pytest.raises(ShapeError, match="columns"):
+                unlearn_run(toy3.model, f, r, toy3.schedule, cfg, rng=gen)
+            assert self.untouched(gen, 2)
+
+    def test_short_timestep_table_raises_on_entry(self, toy3):
+        forget, remain = self.sets(toy3)
+        longer = NoiseSchedule(toy3.schedule.num_timesteps + 1, 1e-4, 0.15)
+        cfg = UnlearnConfig(loss_cap=1.0, iterations=1)
+        gen = np.random.default_rng(3)
+        with pytest.raises(DomainError, match="horizon"):
+            unlearn_run(toy3.model, forget, remain, longer, cfg, rng=gen)
+        assert self.untouched(gen, 3)

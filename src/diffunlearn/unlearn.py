@@ -262,18 +262,22 @@ def unlearn_step(
     return updated, report
 
 
+def _class_pools(labels: np.ndarray) -> list[np.ndarray]:
+    """Each class's indices into ``labels``, one array per class, ascending."""
+    return [np.flatnonzero(labels == k) for k in np.unique(labels)]
+
+
 def _stratified_indices(
-    labels: np.ndarray, batch: int, gen: np.random.Generator
+    pools: list[np.ndarray], batch: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Equal per-class minibatch indices; remainder goes to lower classes."""
-    classes = np.unique(labels)
-    base, extra = divmod(batch, classes.size)
+    """Equal per-class minibatch indices from :func:`_class_pools`' pools;
+    the remainder goes to lower classes."""
+    base, extra = divmod(batch, len(pools))
     picked = []
-    for i, k in enumerate(classes):
+    for i, pool in enumerate(pools):
         want = base + (1 if i < extra else 0)
         if want == 0:
             continue
-        pool = np.flatnonzero(labels == k)
         picked.append(pool[gen.integers(0, pool.size, size=want)])
     return np.concatenate(picked)
 
@@ -296,7 +300,8 @@ def unlearn_run(
     Checked once on entry, before any draw: both sets are non-empty, their
     points have ``input_dim`` columns, every label lies in
     0..num_classes-1 and the model's timestep table covers the schedule.
-    The strategy is parsed once. Each step then gathers its minibatch
+    The strategy is parsed once, and a ``+diverse`` strategy's per-class
+    remain pools are built once. Each step then gathers its minibatch
     points and labels directly and runs the layer kernels ``nn._forward``
     and ``nn._backward`` on one writable copy of the parameters, unpacked
     once and updated in place, with one hidden-layer buffer set per batch
@@ -329,6 +334,7 @@ def unlearn_run(
         raise DomainError("model timestep table is smaller than the schedule horizon")
     gen, _ = as_generator(config.seed if rng is None else rng)
     rule, stratify = parse_strategy(config.strategy)
+    pools = _class_pools(remain_set.labels) if stratify else None
     params = np.array(model.params)
     layout = model.layout
     views = _unpack(layout, params)
@@ -352,7 +358,7 @@ def unlearn_run(
     for iteration in range(config.iterations):
         f_idx = gen.integers(0, len(forget_set), size=config.batch_forget)
         if stratify:
-            r_idx = _stratified_indices(remain_set.labels, config.batch_remain, gen)
+            r_idx = _stratified_indices(pools, config.batch_remain, gen)
         else:
             r_idx = gen.integers(0, len(remain_set), size=config.batch_remain)
         per_sample, pass_f = corrupted_forward(forget_set, f_idx)

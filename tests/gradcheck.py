@@ -1,8 +1,9 @@
 """Oracles shared by the tests: central differences, the reference
 ``np.add.at`` backward pass, out-of-place references for the forward pass and
 the kernel statistics, per-step references for the pretraining loop, the
-sampler, the evaluation's per-condition sampling and the unlearning loop, a
-``project_away``-based restricted combination, and a peak-allocation probe."""
+sampler, the evaluation's per-condition sampling and the unlearning loop with
+its stratified remain draw, a ``project_away``-based restricted combination,
+and a peak-allocation probe."""
 
 import logging
 import math
@@ -16,12 +17,7 @@ from diffunlearn.errors import DegenerateGradientError, DomainError, TrainingDiv
 from diffunlearn.nn import _forward, mlp_forward
 from diffunlearn.projection import inner
 from diffunlearn.rngs import as_generator
-from diffunlearn.unlearn import (
-    StepReport,
-    _stratified_indices,
-    forgetting_loss,
-    parse_strategy,
-)
+from diffunlearn.unlearn import StepReport, forgetting_loss, parse_strategy
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, h: float) -> np.ndarray:
@@ -194,6 +190,21 @@ def reference_unlearn_step(model, forget_batch, remain_batch, schedule, config, 
     return updated, report
 
 
+def reference_stratified_indices(labels, batch, gen):
+    """Reference for ``unlearn._stratified_indices``: the per-iteration draw
+    as it was, recomputing the classes and every class pool on each call."""
+    classes = np.unique(labels)
+    base, extra = divmod(batch, classes.size)
+    picked = []
+    for i, k in enumerate(classes):
+        want = base + (1 if i < extra else 0)
+        if want == 0:
+            continue
+        pool = np.flatnonzero(labels == k)
+        picked.append(pool[gen.integers(0, pool.size, size=want)])
+    return np.concatenate(picked)
+
+
 def reference_unlearn_run(model, forget_set, remain_set, schedule, config, rng=None):
     """Reference for ``unlearn.unlearn_run``: the loop as it was before the
     check-once rewrite, one ``subset`` pair and one
@@ -204,7 +215,9 @@ def reference_unlearn_run(model, forget_set, remain_set, schedule, config, rng=N
     for iteration in range(config.iterations):
         f_idx = gen.integers(0, len(forget_set), size=config.batch_forget)
         if stratify:
-            r_idx = _stratified_indices(remain_set.labels, config.batch_remain, gen)
+            r_idx = reference_stratified_indices(
+                remain_set.labels, config.batch_remain, gen
+            )
         else:
             r_idx = gen.integers(0, len(remain_set), size=config.batch_remain)
         model, report = reference_unlearn_step(

@@ -489,3 +489,37 @@ def test_module_invocation(tmp_path, cfg_path):
     )
     assert result.returncode == 0, result.stderr
     assert "wrote" in result.stdout
+
+
+_LAZY_SCIPY_SCRIPT = """
+import json, sys
+from diffunlearn import cli, harness
+seen = [("import", None, "scipy.spatial" in sys.modules)]
+tiny = ["--out", sys.argv[1], "--set", "pretrain.steps=5",
+        "--set", "unlearn.iterations=3", "--set", "eval.n_per_condition=10"]
+for command in ("gen-data", "train", "unlearn", "gen-prompts", "eval"):
+    rc = cli.main([command, *tiny])
+    seen.append((command, rc, "scipy.spatial" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def test_only_evaluating_commands_load_scipy_spatial(tmp_path):
+    # A fresh process: the test process has scipy loaded already. Only the
+    # distance computations import scipy.spatial.distance, and only eval of
+    # these five commands computes a distance.
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, str(tmp_path / "runs")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.strip().splitlines()[-1])
+    assert seen == [
+        ["import", None, False],
+        ["gen-data", 0, False],
+        ["train", 0, False],
+        ["unlearn", 0, False],
+        ["gen-prompts", 0, False],
+        ["eval", 0, True],
+    ]

@@ -19,6 +19,7 @@ from diffunlearn.train import derive_loss_cap
 from diffunlearn.unlearn import (
     StepReport,
     UnlearnConfig,
+    _class_pools,
     _stratified_indices,
     forgetting_loss,
     parse_strategy,
@@ -27,7 +28,12 @@ from diffunlearn.unlearn import (
     unlearn_step,
     write_trajectory_csv,
 )
-from gradcheck import finite_diff_grad, reference_unlearn_run, reference_unlearn_step
+from gradcheck import (
+    finite_diff_grad,
+    reference_stratified_indices,
+    reference_unlearn_run,
+    reference_unlearn_step,
+)
 
 
 def zero_model(num_classes=2, num_timesteps=4):
@@ -334,10 +340,23 @@ class TestUnlearnRun:
 
     def test_stratified_remain_batches(self):
         labels = np.array([0] * 10 + [1] * 10 + [2] * 10)
-        idx = _stratified_indices(labels, 8, np.random.default_rng(0))
+        idx = _stratified_indices(_class_pools(labels), 8, np.random.default_rng(0))
         counts = np.bincount(labels[idx], minlength=3)
         # Remainder of 8 over 3 classes goes to the lowest class indices.
         assert list(counts) == [3, 3, 2]
+
+    @pytest.mark.parametrize("batch", [1, 2, 8, 9, 64])
+    def test_stratified_pools_draw_the_reference_stream(self, batch):
+        # Shuffled, unequal classes with a gap in the ids; the pools are
+        # built once and reused, the reference rebuilds them every call.
+        labels = np.random.default_rng(3).permutation(np.repeat([0, 2, 3], [5, 11, 7]))
+        pools = _class_pools(labels)
+        gen, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(4):
+            got = _stratified_indices(pools, batch, gen)
+            want = reference_stratified_indices(labels, batch, ref)
+            assert got.tobytes() == want.tobytes()
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_empty_sets_rejected(self, toy3):
         empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
@@ -403,6 +422,24 @@ class TestCheckOnceLoop:
         cfg = UnlearnConfig(
             forget_weight=5.0, loss_cap=0.8, step_size=2e-3, iterations=25,
             batch_forget=24, batch_remain=24, strategy=strategy, seed=4,
+        )
+        args = (toy3.model, forget, remain, toy3.schedule, cfg)
+        self.assert_same_run(unlearn_run(*args), reference_unlearn_run(*args))
+
+    @pytest.mark.parametrize("batch_remain", [25, 2])
+    @pytest.mark.parametrize("strategy", [
+        "restricted+diverse", "graddiff+diverse", "finetune+diverse",
+    ])
+    def test_diverse_matches_reference_on_indivisible_batches(
+        self, toy3, strategy, batch_remain
+    ):
+        # Three shuffled remain classes of unequal size: 25 leaves a
+        # remainder of one, and 2 leaves the last class without a draw.
+        forget = toy3.data.class_subset(0)
+        remain = toy3.data.subset(np.random.default_rng(5).permutation(len(toy3.data))[:200])
+        cfg = UnlearnConfig(
+            forget_weight=5.0, loss_cap=0.8, step_size=2e-3, iterations=20,
+            batch_forget=16, batch_remain=batch_remain, strategy=strategy, seed=6,
         )
         args = (toy3.model, forget, remain, toy3.schedule, cfg)
         self.assert_same_run(unlearn_run(*args), reference_unlearn_run(*args))

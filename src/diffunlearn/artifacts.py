@@ -6,12 +6,12 @@ sees the old file or the new one, never a partial one. Durability (fsync) is
 not a goal.
 
 Every float is written in Python's shortest round-trip form, float.__repr__,
-which is what json itself writes for a finite float. JSON and JSONL are
+which is what json itself writes for a finite float. JSON, JSONL and CSV are
 strict: a non-finite float raises ValueError instead of writing a NaN token,
 and nothing is written. A JSON document's bytes are exactly
-json.dumps(doc, indent=indent, allow_nan=False) plus a newline; a list of
-plain floats is formatted directly with float.__repr__ rather than through
-json's pure-Python indenting encoder, and everything else goes through json.
+json.dumps(doc, indent=indent, allow_nan=False) plus a newline. No writer
+here formats a large float list: checkpoints carry their parameters as one
+base64 float64 string (see checkpoint.py).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import secrets
 from pathlib import Path
@@ -50,48 +49,8 @@ def _publish(path, data: bytes) -> None:
 
 def write_json(path, doc, indent: int) -> None:
     """One strict JSON document, indented, with a trailing newline."""
-    text = _indented(doc, " " * indent, "\n") + "\n"
+    text = json.dumps(doc, indent=indent, allow_nan=False) + "\n"
     _publish(path, text.encode())
-
-
-def _indented(o, step: str, pad: str) -> str:
-    """json.dumps(o, indent=len(step), allow_nan=False), with ``pad`` the
-    newline and indentation that precede o's closing bracket.
-
-    json's indenting encoder is pure Python; this walks the containers in
-    the same layout and hands every scalar, key and empty container to the C
-    encoder. A self-containing document raises RecursionError here where
-    json raises ValueError.
-    """
-    inner = pad + step
-    if isinstance(o, (list, tuple)) and o:
-        if _plain_floats(o):
-            items = map(repr, o)
-        else:
-            items = (_indented(v, step, inner) for v in o)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(o, dict) and o:
-        items = (f"{_key(k)}: {_indented(v, step, inner)}" for k, v in o.items())
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return _STRICT.encode(o)
-
-
-def _plain_floats(items) -> bool:
-    """Whether every item is an exact, finite float, whose JSON text is its
-    repr. A sum of finite floats is finite unless it overflows, and an
-    overflow only sends the items down the general path, which checks each.
-    """
-    return set(map(type, items)) == {float} and math.isfinite(sum(items))
-
-
-def _key(k) -> str:
-    """An object key as json writes it: a non-string key becomes the string
-    of its JSON scalar."""
-    if isinstance(k, str):
-        return _STRICT.encode(k)
-    if k is None or isinstance(k, (int, float)):
-        return _STRICT.encode(_STRICT.encode(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def write_lines(path, lines) -> None:
@@ -116,8 +75,9 @@ def write_rows_csv(path, columns, rows) -> None:
     writer = csv.writer(buf)
     writer.writerow(columns)
     for row in rows:
+        cells = [row[c] for c in columns]
         writer.writerow(
-            [repr(v) if isinstance(v, float) else v for v in (row[c] for c in columns)]
+            [_STRICT.encode(v) if isinstance(v, float) else v for v in cells]
         )
     _publish(path, buf.getvalue().encode())
 

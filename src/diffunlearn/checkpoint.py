@@ -2,13 +2,15 @@
 
 A checkpoint is a single JSON document holding the architecture, the noise
 schedule parameters, the flat parameter vector, and provenance (config hash,
-seed, training iterations). Floats are serialized in Python's shortest
-round-trip decimal form, so save -> load -> save reproduces the file
-byte-for-byte and the parameter vector bit-exactly.
+seed, training iterations). Version 2 stores the parameters as one base64
+string (RFC 4648, padded) of their little-endian float64 bytes, so
+save -> load -> save reproduces the file byte-for-byte and every bit
+pattern exactly. Version 1, a list of shortest round-trip decimals, is read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from .diffusion import NoiseSchedule
 from .errors import CheckpointError
 from .nn import NoisePredictor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def checkpoint_dict(
@@ -31,6 +33,8 @@ def checkpoint_dict(
     seed: int = 0,
     iterations: int = 0,
 ) -> dict:
+    if not np.isfinite(model.params).all():
+        raise ValueError("cannot save non-finite parameters")
     return {
         "version": CHECKPOINT_VERSION,
         "architecture": {
@@ -46,7 +50,7 @@ def checkpoint_dict(
             "beta_min": float(beta_min),
             "beta_max": float(beta_max),
         },
-        "params": model.params.tolist(),
+        "params": base64.b64encode(model.params.astype("<f8").tobytes()).decode(),
         "provenance": {
             "config_hash": config_hash,
             "seed": int(seed),
@@ -61,12 +65,12 @@ def save_checkpoint(path, model, schedule, beta_min, beta_max, **provenance) -> 
 
 
 def load_checkpoint(path):
-    """Load a checkpoint file.
+    """Load a checkpoint file, version 1 or 2.
 
-    Returns (model, schedule, provenance dict). Unknown versions, non-finite
-    parameters, parameter vectors that do not match the declared
-    architecture and schedules longer than the timestep table are rejected
-    rather than guessed at.
+    Returns (model, schedule, provenance dict). Unknown versions, params
+    that do not decode, non-finite parameters, parameter vectors that do not
+    match the declared architecture and schedules longer than the timestep
+    table are rejected with an error naming the file, not guessed at.
     """
     path = Path(path)
     if not path.exists():
@@ -77,16 +81,24 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError(f"checkpoint {path} has no version field")
-    if doc["version"] != CHECKPOINT_VERSION:
+    version = doc["version"]
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"unsupported checkpoint version {doc['version']!r}; "
-            f"this build reads version {CHECKPOINT_VERSION}"
+            f"checkpoint {path} has unsupported version {version!r}; "
+            f"this build reads versions 1 and {CHECKPOINT_VERSION}"
         )
     for section in ("architecture", "schedule", "params"):
         if section not in doc:
             raise CheckpointError(f"checkpoint {path} is missing '{section}'")
     arch = doc["architecture"]
-    params = np.asarray(doc["params"], dtype=np.float64)
+    try:
+        if version == 1:
+            params = np.asarray(doc["params"], dtype=np.float64)
+        else:
+            blob = base64.b64decode(doc["params"], validate=True)
+            params = np.frombuffer(blob, dtype="<f8")
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path}: unreadable params: {exc}") from exc
     if not np.isfinite(params).all():
         raise CheckpointError(f"checkpoint {path} holds non-finite parameters")
     try:

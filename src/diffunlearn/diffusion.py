@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, SamplingDiverged, ShapeError
 from .nn import (
     NoisePredictor,
     _class_rows,
@@ -255,7 +255,9 @@ def _chains(views, c_select, coefficients, gen, hidden) -> np.ndarray:
     (C - 1, T, n, input_dim) is the same stream, so the first C - 1
     conditions' noise is drawn up front and the last condition draws step
     by step, as it would alone; a lone condition pre-draws nothing.
-    ``hidden`` holds one (C, n, width) buffer per hidden layer.
+    ``hidden`` holds one (C, n, width) buffer per hidden layer. A non-finite
+    value after any step raises SamplingDiverged naming the first such
+    condition's class rows (num_classes is the unconditional row) and t.
     """
     eps_scale, keep_scale, noise_scale = coefficients
     steps = eps_scale.size
@@ -271,4 +273,11 @@ def _chains(views, c_select, coefficients, gen, hidden) -> np.ndarray:
         if i > 0:
             x[:-1] += noise_scale[i] * earlier[:, steps - i]
             x[-1] += noise_scale[i] * gen.standard_normal((n, width))
+        if not np.isfinite(x).all():
+            first = np.isfinite(x).reshape(count, -1).all(axis=1).argmin()
+            classes = ", ".join(map(str, np.unique(c_select[first])))
+            raise SamplingDiverged(
+                f"sampling produced a non-finite value for class {classes} "
+                f"at timestep {i + 1}"
+            )
     return x

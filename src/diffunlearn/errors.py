@@ -23,3 +23,7 @@ class CheckpointError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """Training or unlearning produced a non-finite loss or parameter."""
+
+
+class SamplingDiverged(RuntimeError):
+    """The reverse process produced a non-finite sample."""

@@ -41,6 +41,13 @@ class TestCsvRows:
         back = artifacts.read_rows_csv(path, ("a", "b"))
         assert back == [{"a": "", "b": 1.5}]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "rows.csv"
+        with pytest.raises(ValueError):
+            artifacts.write_rows_csv(path, ("a", "b"), [{"a": 1.0, "b": bad}])
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_failed_encode_keeps_old_file(tmp_path):
     path = tmp_path / "rows.csv"
@@ -144,8 +151,8 @@ def _expected(doc, indent):
 
 
 class TestWriteJsonMatchesJson:
-    """write_json formats plain float lists itself; every byte must still
-    be json's."""
+    """write_json's bytes are json.dumps(doc, indent=indent,
+    allow_nan=False) plus a newline, for any document."""
 
     @settings(
         max_examples=300,
@@ -177,7 +184,7 @@ class TestWriteJsonMatchesJson:
             (0.5, 1.5),
             {"t": (1, "x", None), "u": ()},
             {1: "int", 2.5: "float", False: "bool", None: "null", -0.0: "zero"},
-            # The sum overflows, so the list takes the per-item path.
+            # Finite items whose sum overflows.
             [1.7976931348623157e308, 1.7976931348623157e308],
             "top-level string",
             0.1,

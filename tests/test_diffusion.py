@@ -14,7 +14,7 @@ from diffunlearn.diffusion import (
     draw_corruption,
     q_sample,
 )
-from diffunlearn.errors import DomainError, ShapeError
+from diffunlearn.errors import DomainError, SamplingDiverged, ShapeError
 from diffunlearn.nn import init_model, param_count, NoisePredictor
 from gradcheck import (
     finite_diff_grad,
@@ -401,3 +401,42 @@ class TestLockStepSampler:
         )
         noise = diffusion._ROWS * min(steps, 100) * 2 * 8
         assert peak <= (len(hidden) + 0.5) * rows * hidden[0] * 8 + noise
+
+
+class TestNonFiniteSample:
+    """A chain that leaves the finite floats stops the sampler with an error
+    naming the condition and the timestep; it is never returned."""
+
+    def model(self, row=None, bias=0.0):
+        """Four classes over T = 6; the class-table ``row`` (4 is the
+        unconditional row) is NaN, and ``bias`` is the output bias."""
+        model = init_model(2, (8,), 4, 6, np.random.default_rng(3))
+        params = model.params.copy()
+        layout = model.layout
+        params[layout.biases[-1]] = bias
+        if row is not None:
+            params[layout.class_table].reshape(5, 8)[row] = np.nan
+        return model.with_params(params)
+
+    def test_infinite_output_raises_at_first_step(self):
+        model = self.model(bias=np.inf)
+        with pytest.raises(SamplingDiverged, match="class 2 at timestep 6$"):
+            ddpm_sample(model, 2, 10, NoiseSchedule(6, 0.01, 0.2), 1)
+
+    @pytest.mark.parametrize("classes", ([0, 1, 2, 3], [3, 2, 0, 1]))
+    def test_lock_step_names_the_diverging_class(self, classes):
+        model = self.model(row=1)
+        sched = NoiseSchedule(6, 0.01, 0.2)
+        with pytest.raises(SamplingDiverged, match="class 1 at timestep 6"):
+            _sample_classes(model, classes, 10, sched, np.random.default_rng(0))
+        # Without class 1 every chain stays finite.
+        out = _sample_classes(model, [0, 2, 3], 10, sched, np.random.default_rng(0))
+        assert np.isfinite(out).all()
+
+    def test_unconditional_and_per_sample_conditions(self):
+        sched = NoiseSchedule(6, 0.01, 0.2)
+        with pytest.raises(SamplingDiverged, match="class 4 at"):
+            ddpm_sample(self.model(row=4), None, 10, sched, 1)
+        classes = np.array([0, 1, 2, 3, 0])
+        with pytest.raises(SamplingDiverged, match="class 0, 1, 2, 3 at timestep 6"):
+            ddpm_sample(self.model(row=2), classes, 5, sched, 1)

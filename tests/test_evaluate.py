@@ -8,7 +8,7 @@ import pytest
 from diffunlearn import evaluate as evaluate_mod
 from diffunlearn.data import MixtureSpec, circle_mixture
 from diffunlearn.diffusion import NoiseSchedule, ddpm_sample
-from diffunlearn.errors import DomainError
+from diffunlearn.errors import DomainError, SamplingDiverged
 from diffunlearn.evaluate import (
     EvalConfig,
     EvalReport,
@@ -476,6 +476,16 @@ class TestFullEval:
         config = EvalConfig(n_per_condition=50)
         got = full_eval(toy3.model, 2.0, toy3.spec, toy3.schedule, config, 6)
         assert got == full_eval(toy3.model, 2, toy3.spec, toy3.schedule, config, 6)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_sample_is_an_error(self, toy3):
+        # Output weights at 1e308 send every chain to inf on the first step;
+        # such samples must not be scored as a forgotten class.
+        params = toy3.model.params.copy()
+        params[toy3.model.layout.weights[-1][0]] *= 1e308
+        model = toy3.model.with_params(params)
+        with pytest.raises(SamplingDiverged, match=r"class 0 at timestep \d+$"):
+            full_eval(model, 0, toy3.spec, toy3.schedule, EvalConfig(n_per_condition=50), 0)
 
     def test_report_json_roundtrip(self, tmp_path, toy3):
         report = full_eval(

@@ -182,6 +182,25 @@ class TestSweep:
             if expected == 0:
                 assert entry["ra_variance"] == ""
 
+    def test_diverging_sampler_cell_recorded_as_failed(self, tiny_run, monkeypatch):
+        config, spec, data, schedule, model = tiny_run
+        real = harness.unlearn_from_config
+
+        def poisoned(config, *args, **kwargs):
+            final, reports, extra = real(config, *args, **kwargs)
+            if config.unlearn.strategy == "graddiff":
+                params = final.params.copy()
+                params[final.layout.biases[-1]] = np.inf
+                final = final.with_params(params)
+            return final, reports, extra
+
+        monkeypatch.setattr(harness, "unlearn_from_config", poisoned)
+        rows, _ = harness.run_sweep(config, model, data, spec, schedule)
+        failed = [r for r in rows if r["status"] == "failed"]
+        assert [r["strategy"] for r in failed] == ["graddiff"] * 4
+        assert all(r["error"].startswith("SamplingDiverged") for r in failed)
+        assert all(r["ua"] == "" for r in failed)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_cell_recorded_as_failed(self, tiny_run):
         # Overflow on the way to the abort is the point of this test.

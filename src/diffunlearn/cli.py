@@ -246,21 +246,11 @@ def cmd_sweep(args, raw, config) -> int:
         harness.SWEEP_COLUMNS,
         harness.SWEEP_SUMMARY_COLUMNS,
     )
-    failed = [r for r in rows if r["status"] != "ok"]
-    print(f"cells={len(rows)} failed={len(failed)}")
-    for row in failed:
-        print(
-            f"failed cell forget_weight={row['forget_weight']} "
-            f"loss_cap={row['loss_cap']} strategy={row['strategy']}: {row['error']}"
-        )
-    if rows and len(failed) == len(rows):
-        print("error: every sweep cell failed", file=sys.stderr)
-        return 2
-    return 0
+    return _report_cells(rows, "sweep", ("forget_weight", "loss_cap", "strategy"))
 
 
 def cmd_diversity_ablation(args, raw, config) -> int:
-    _, summary = _run_grid(
+    rows, summary = _run_grid(
         args,
         config,
         harness.run_diversity_ablation,
@@ -269,10 +259,24 @@ def cmd_diversity_ablation(args, raw, config) -> int:
         harness.ABLATION_SUMMARY_COLUMNS,
     )
     for entry in summary:
-        print(
-            f"strategy={entry['strategy']} delta_ua={entry['delta_ua']:+.4f} "
-            f"delta_ra={entry['delta_ra']:+.4f} delta_mmd={entry['delta_mmd']:+.6g}"
-        )
+        line = [f"strategy={entry['strategy']}"]
+        for metric, spec in (("ua", "+.4f"), ("ra", "+.4f"), ("mmd", "+.6g")):
+            value = entry[f"delta_{metric}"]
+            line.append(f"delta_{metric}={'' if value == '' else format(value, spec)}")
+        print(" ".join(line))
+    return _report_cells(rows, "ablation", ("case", "strategy"))
+
+
+def _report_cells(rows, name, keys) -> int:
+    """Print the failed cells of a grid; exit 2 only when every cell failed."""
+    failed = [r for r in rows if r["status"] != "ok"]
+    print(f"cells={len(rows)} failed={len(failed)}")
+    for row in failed:
+        cell = " ".join(f"{key}={row[key]}" for key in keys)
+        print(f"failed cell {cell}: {row['error']}")
+    if rows and len(failed) == len(rows):
+        print(f"error: every {name} cell failed", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -12,6 +12,8 @@ vectors, and the network's timestep-embedding rows.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,8 +200,39 @@ _ROWS = 1024
 # Pre-drawn noise rows one group may hold, (group - 1) * T * n of them. At
 # the default T = 100 the row budget binds first; at a larger T groups
 # shrink so that the noise stays bounded, down to one condition per group,
-# which pre-draws nothing.
+# which pre-draws nothing. Groups run on worker threads only when a whole
+# group's noise, group * T * n rows, fits this budget.
 _NOISE_ROWS = 100 * _ROWS
+
+
+def _sampler_workers(environ, cpus: int) -> int:
+    """Threads the sampler may run condition groups on: ``cpus`` when BLAS
+    runs one thread, else 1.
+
+    BLAS's thread count is read as OpenBLAS reads it when it loads: the
+    first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
+    that holds a positive integer, or one thread per CPU when none does.
+    Workers on top of a multi-threaded BLAS contend for its cores: two of
+    them over a two-thread BLAS ran the 5 x 500 sampler at 0.94x of serial
+    and 5 x 1,500 at 0.83x.
+    """
+    threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            threads = int(value)
+            break
+    return cpus if threads == 1 else 1
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Read once at import, as BLAS reads its thread count once when it loads.
+_WORKERS = _sampler_workers(os.environ, _usable_cpus())
 
 
 def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, gen):
@@ -212,10 +245,22 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
     precomputed as vectors; correctly rounded sqrt and division give the
     same bits as the per-step scalars. Conditions run in lock-step groups
     of at most _ROWS rows (one condition when n exceeds it) and at most
-    _NOISE_ROWS pre-drawn noise rows, each group through :func:`_chains`,
-    with one buffer per hidden layer sized for the largest group and reused
-    by every group and step. How conditions are grouped changes no bytes:
-    the draws form one stream however it is cut.
+    _NOISE_ROWS pre-drawn noise rows, each group through :func:`_chains`.
+    How conditions are grouped or scheduled changes no bytes: the draws
+    form one stream however it is cut.
+
+    Serially, one buffer per hidden layer is sized for the largest group
+    and reused by every group and step. The groups run on
+    ``min(groups, _WORKERS)`` worker threads instead (see
+    :func:`_sampler_workers`) when that is more than one and a whole
+    group's noise fits _NOISE_ROWS. Draw order: this thread draws each
+    group's whole (group, T, n, input_dim) noise in one standard_normal
+    call, in group order and before it submits that group, which is the
+    serial stream in the serial order. It keeps at most one group per
+    worker in flight and joins the results in group order, so the samples,
+    the generator's final state and the first SamplingDiverged are the
+    serial path's. Memory in flight: at most workers x (one group's hidden
+    buffers + its noise).
     """
     if n < 1:
         raise DomainError("sample count must be at least 1")
@@ -231,16 +276,49 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
     views = model.unpack()
     steps = schedule.num_timesteps
     group = min(len(c_select), max(1, _ROWS // n), 1 + _NOISE_ROWS // (steps * n))
+    selects = [c_select[s : s + group] for s in range(0, len(c_select), group)]
+    workers = min(len(selects), _WORKERS)
+    if workers > 1 and group * steps * n <= _NOISE_ROWS:
+        return _sample_threaded(model, views, selects, coefficients, gen, n, workers)
     hidden = [np.empty((group, n, width)) for width in model.hidden_dims]
     parts = []
-    for start in range(0, len(c_select), group):
-        select = c_select[start : start + group]
+    for select in selects:
         buffers = [buffer[: len(select)] for buffer in hidden]
         parts.append(_chains(views, select, coefficients, gen, buffers))
     return np.concatenate(parts)
 
 
-def _chains(views, c_select, coefficients, gen, hidden) -> np.ndarray:
+def _sample_threaded(model, views, selects, coefficients, gen, n, workers):
+    """:func:`_sample`'s groups on ``workers`` threads, nothing checked.
+
+    Worker threads call only :func:`_chains`, and through it the layer
+    kernel; each builds its own group's hidden buffers. Only this thread
+    draws. A group's noise is drawn after the group ``workers`` places
+    before it was joined, so at most ``workers`` groups' buffers and noise
+    are alive at once. (Reusing per-worker buffers instead kept the same
+    bytes but raised ``eval-large``'s peak RSS by 3 MB.)
+    """
+    # Imported here, like scipy in evaluate: loading concurrent.futures
+    # takes ~3 ms that no serial command needs.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(select, noise):
+        hidden = [np.empty((len(select), n, width)) for width in model.hidden_dims]
+        return _chains(views, select, coefficients, None, hidden, noise)
+
+    shape = (coefficients[0].size, n, model.input_dim)
+    parts, pending = [], deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for select in selects:
+            if len(pending) == workers:
+                parts.append(pending.popleft().result())
+            noise = gen.standard_normal((len(select), *shape))
+            pending.append(pool.submit(run, select, noise))
+        parts.extend(future.result() for future in pending)
+    return np.concatenate(parts)
+
+
+def _chains(views, c_select, coefficients, gen, hidden, noise=None) -> np.ndarray:
     """The reverse-process loop over C stacked chains, nothing checked.
 
     Every array is stacked (C, n, width): each layer is one ``np.matmul``
@@ -251,10 +329,16 @@ def _chains(views, c_select, coefficients, gen, hidden) -> np.ndarray:
     broadcasts as (C, 1, h0).
 
     Draw order: C ``ddpm_sample`` calls in a row draw each condition's T
-    (n, input_dim) normals in turn, x_T first. One standard_normal of shape
-    (C - 1, T, n, input_dim) is the same stream, so the first C - 1
-    conditions' noise is drawn up front and the last condition draws step
-    by step, as it would alone; a lone condition pre-draws nothing.
+    (n, input_dim) normals in turn, x_T first; condition c's noise for
+    timestep t is row T - t of its (T, n, input_dim) block. One
+    standard_normal of shape (C, T, n, input_dim) is the same stream. With
+    ``noise`` None, the first C - 1 conditions' blocks are drawn up front
+    from ``gen`` and the last condition draws step by step, as it would
+    alone, so a lone condition pre-draws nothing and the pre-drawn noise is
+    (C - 1) * T * n rows. Given ``noise``, the group's whole
+    (C, T, n, input_dim) stream drawn by the caller, nothing is drawn and
+    ``gen`` is not used; the threaded sampler passes it, and holds at most
+    one such group's buffers and noise per worker in flight.
     ``hidden`` holds one (C, n, width) buffer per hidden layer. A non-finite
     value after any step raises SamplingDiverged naming the first such
     condition's class rows (num_classes is the unconditional row) and t.
@@ -263,16 +347,20 @@ def _chains(views, c_select, coefficients, gen, hidden) -> np.ndarray:
     steps = eps_scale.size
     count, n, _ = hidden[0].shape
     width = views[0][0].shape[1]
-    earlier = gen.standard_normal((count - 1, steps, n, width))
+    if noise is None:
+        noise = gen.standard_normal((count - 1, steps, n, width))
+    drawn = len(noise)
     x = np.empty((count, n, width))
-    x[:-1] = earlier[:, 0]
-    x[-1] = gen.standard_normal((n, width))
+    x[:drawn] = noise[:, 0]
+    if drawn < count:
+        x[-1] = gen.standard_normal((n, width))
     for i in range(steps - 1, -1, -1):  # i = t - 1
         eps_hat = _forward(views, x, slice(i, i + 1), c_select, hidden)[-1]
         x = (x - eps_scale[i] * eps_hat) / keep_scale[i]
         if i > 0:
-            x[:-1] += noise_scale[i] * earlier[:, steps - i]
-            x[-1] += noise_scale[i] * gen.standard_normal((n, width))
+            x[:drawn] += noise_scale[i] * noise[:, steps - i]
+            if drawn < count:
+                x[-1] += noise_scale[i] * gen.standard_normal((n, width))
         if not np.isfinite(x).all():
             first = np.isfinite(x).reshape(count, -1).all(axis=1).argmin()
             classes = ", ".join(map(str, np.unique(c_select[first])))

@@ -65,9 +65,11 @@ ABLATION_COLUMNS = (
     "composition",
     "remain_classes",
     "strategy",
+    "status",
     "ua",
     "ra",
     "mmd",
+    "error",
 )
 ABLATION_SUMMARY_COLUMNS = (
     "strategy",
@@ -244,6 +246,22 @@ def _run_cell(config, model, data, spec, schedule, loss_cap, remain_set):
     }
 
 
+def _run_isolated(row, columns, *cell):
+    """Fill ``row`` with one cell's metrics among ``columns`` and status
+    "ok", or, when the cell raises, status "failed", its error and every
+    other column empty, so one failing cell leaves the others' rows."""
+    try:
+        metrics = _run_cell(*cell)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+        row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        for col in columns:
+            row.setdefault(col, "")
+        return row
+    row.update(status="ok", error="")
+    row.update((col, metrics[col]) for col in columns if col in metrics)
+    return row
+
+
 def _with_unlearn(config: RunConfig, **changes) -> RunConfig:
     """The config with the given unlearn-section fields replaced."""
     return dataclasses.replace(
@@ -283,23 +301,9 @@ def run_sweep(config: RunConfig, model, data: LabeledDataset, spec, schedule):
         cell_cfg = _with_unlearn(
             config, forget_weight=weight, loss_cap=cap, strategy=strat
         )
-        row = {
-            "forget_weight": weight,
-            "loss_cap": cap,
-            "strategy": strat,
-            "status": "ok",
-            "error": "",
-        }
-        try:
-            row.update(
-                _run_cell(cell_cfg, model, data, spec, schedule, cap, remain_set)
-            )
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            row["status"] = "failed"
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            for col in SWEEP_COLUMNS:
-                row.setdefault(col, "")
-        rows.append(row)
+        row = {"forget_weight": weight, "loss_cap": cap, "strategy": strat}
+        cell = (cell_cfg, model, data, spec, schedule, cap, remain_set)
+        rows.append(_run_isolated(row, SWEEP_COLUMNS, *cell))
     return rows, summarize_sweep(config, rows)
 
 
@@ -335,6 +339,8 @@ def run_diversity_ablation(config: RunConfig, model, data: LabeledDataset, spec,
     the forgotten one; Case 2 draws it balanced across all retained classes.
     Both cases use identical total size, unlearning seed, and evaluation
     seed, so the summary deltas (case 2 minus case 1) isolate composition.
+    A failing cell is recorded with its error, as in :func:`run_sweep`, and
+    a strategy's deltas are left empty when either of its cells failed.
     """
     cases = [
         (case_id, mode, build_remain_set(_with_unlearn(config, diversity=mode), data))
@@ -347,26 +353,24 @@ def run_diversity_ablation(config: RunConfig, model, data: LabeledDataset, spec,
         present = sorted(set(int(v) for v in remain.labels))
         for strat in ABLATION_STRATEGIES:
             cell_cfg = _with_unlearn(config, strategy=strat)
-            metrics = _run_cell(cell_cfg, model, data, spec, schedule, loss_cap, remain)
             row = {
                 "case": case_id,
                 "composition": composition,
                 "remain_classes": "|".join(str(c) for c in present),
                 "strategy": strat,
-                "ua": metrics["ua"],
-                "ra": metrics["ra"],
-                "mmd": metrics["mmd"],
             }
-            rows.append(row)
+            cell = (cell_cfg, model, data, spec, schedule, loss_cap, remain)
+            rows.append(_run_isolated(row, ABLATION_COLUMNS, *cell))
             by_key[(case_id, strat)] = row
     summary = []
     for strat in ABLATION_STRATEGIES:
         one, two = by_key[(1, strat)], by_key[(2, strat)]
+        both = one["status"] == two["status"] == "ok"
         entry = {"strategy": strat}
         for metric in ("ua", "ra", "mmd"):
             entry[f"case1_{metric}"] = one[metric]
             entry[f"case2_{metric}"] = two[metric]
-            entry[f"delta_{metric}"] = two[metric] - one[metric]
+            entry[f"delta_{metric}"] = two[metric] - one[metric] if both else ""
         summary.append(entry)
     return rows, summary
 

@@ -197,6 +197,51 @@ def test_diversity_ablation_csv_artifacts(trained, cfg_path):
         assert entry["delta_ua"] == pytest.approx(
             entry["case2_ua"] - entry["case1_ua"], abs=0.0
         )
+    assert [row["status"] for row in rows] == ["ok"] * 6
+
+
+def _poison_output_bias(monkeypatch, strategies):
+    """Give the unlearned models of ``strategies`` an inf output bias."""
+    real = harness.unlearn_from_config
+
+    def poisoned(config, *args, **kwargs):
+        final, reports, extra = real(config, *args, **kwargs)
+        if config.unlearn.strategy in strategies:
+            params = final.params.copy()
+            params[final.layout.biases[-1]] = np.inf
+            final = final.with_params(params)
+        return final, reports, extra
+
+    monkeypatch.setattr(harness, "unlearn_from_config", poisoned)
+
+
+def test_diversity_ablation_isolates_failed_cells(trained, cfg_path, monkeypatch, capsys):
+    _poison_output_bias(monkeypatch, {"graddiff"})
+    out = trained
+    rc = main(["diversity-ablation", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0
+    rows = artifacts.read_rows_csv(out / "ablation.csv", harness.ABLATION_COLUMNS)
+    assert len(rows) == 6
+    failed = [row for row in rows if row["status"] == "failed"]
+    assert [row["strategy"] for row in failed] == ["graddiff", "graddiff"]
+    assert all(row["error"].startswith("SamplingDiverged") for row in failed)
+    summary = artifacts.read_rows_csv(
+        out / "ablation_summary.csv", harness.ABLATION_SUMMARY_COLUMNS
+    )
+    assert [entry["delta_ua"] == "" for entry in summary] == [True, False, False]
+    stdout = capsys.readouterr().out
+    assert "strategy=graddiff delta_ua= delta_ra= delta_mmd=\n" in stdout
+    assert "cells=6 failed=2" in stdout
+    assert "failed cell case=1 strategy=graddiff: SamplingDiverged" in stdout
+
+
+def test_diversity_ablation_exits_2_when_every_cell_failed(trained, cfg_path, monkeypatch, capsys):
+    _poison_output_bias(monkeypatch, set(harness.ABLATION_STRATEGIES))
+    rc = main(["diversity-ablation", "--config", str(cfg_path), "--out", str(trained)])
+    assert rc == 2
+    assert "every ablation cell failed" in capsys.readouterr().err
+    rows = artifacts.read_rows_csv(trained / "ablation.csv", harness.ABLATION_COLUMNS)
+    assert [row["status"] for row in rows] == ["failed"] * 6
 
 
 def test_gen_prompts(tmp_path, cfg_path):

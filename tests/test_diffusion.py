@@ -1,6 +1,11 @@
 """Tests for the forward corruption, denoising loss, and ancestral sampler."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -294,9 +299,11 @@ class TestDdpmSample:
             with pytest.raises(ShapeError, match="class ids"):
                 ddpm_sample(model, wrong_length, 3, sched, 1)
 
-    def test_peak_allocation_is_the_live_hidden_layers(self):
+    def test_peak_allocation_is_the_live_hidden_layers(self, monkeypatch):
         # A step holds at most the hidden activations it is building; the
-        # table terms add one broadcast row, not n gathered copies.
+        # table terms add one broadcast row, not n gathered copies. One
+        # worker: the serial path's bound.
+        monkeypatch.setattr(diffusion, "_WORKERS", 1)
         hidden, n = (64, 64), 2000
         sched = NoiseSchedule(5, 0.05, 0.3)
         model = init_model(2, hidden, 3, 5, np.random.default_rng(3))
@@ -337,10 +344,14 @@ class TestLockStepSampler:
     @pytest.mark.parametrize("n", (1, 7, 50, 1024, 1025, 1500))
     @pytest.mark.parametrize("hidden", ((64,), (64, 64), (64, 32, 48)))
     def test_matches_serial_samples_and_generator_state(self, hidden, n):
+        self.check_grid_cell(hidden, n)
+
+    @classmethod
+    def check_grid_cell(cls, hidden, n):
         # C = 1..5 conditions, every forget class first, the rest ascending;
         # n crosses the row budget, so groups of one to five conditions run.
         sched = NoiseSchedule(6, 1e-3, 0.2)
-        model = self.model(hidden)
+        model = cls.model(hidden)
         for count in range(1, 6):
             for forget in range(count):
                 classes = [forget, *(k for k in range(count) if k != forget)]
@@ -386,11 +397,13 @@ class TestLockStepSampler:
         assert gen.standard_normal(3).tobytes() == ref_gen.standard_normal(3).tobytes()
 
     @pytest.mark.parametrize("steps", (50, 1000))
-    def test_peak_allocation_is_one_group_plus_its_noise(self, steps):
+    def test_peak_allocation_is_one_group_plus_its_noise(self, steps, monkeypatch):
         # One group's hidden buffers, plus the earlier conditions' noise:
         # at most one row budget of draws per step, for up to 100 steps,
         # whatever the number of steps. At T = 1000, stacking all five
-        # conditions would pre-draw 8 times that.
+        # conditions would pre-draw 8 times that. One worker: the serial
+        # path's bound.
+        monkeypatch.setattr(diffusion, "_WORKERS", 1)
         hidden, n = (64, 64), 200
         sched = NoiseSchedule(steps, 1e-3, 0.2)
         model = self.model(hidden, steps=steps)
@@ -401,6 +414,193 @@ class TestLockStepSampler:
         )
         noise = diffusion._ROWS * min(steps, 100) * 2 * 8
         assert peak <= (len(hidden) + 0.5) * rows * hidden[0] * 8 + noise
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)`` on a daemon thread joined with a timeout, so a hung
+    sampler fails the test instead of stalling the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _recording_chains(monkeypatch):
+    """Wrap diffusion._chains; returns the list of threads that ran it."""
+    real, threads = diffusion._chains, []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "_chains", recording)
+    return threads
+
+
+class TestThreadedSampler:
+    """diffusion._sample's condition groups on worker threads, forced
+    through diffusion._WORKERS, against the serial per-condition sampler."""
+
+    model = staticmethod(TestLockStepSampler.model)
+
+    @pytest.mark.parametrize("workers", (2, 3, 4))
+    @pytest.mark.parametrize("n", (1, 7, 50, 1024, 1025, 1500))
+    @pytest.mark.parametrize("hidden", ((64,), (64, 64), (64, 32, 48)))
+    def test_matches_serial_samples_and_generator_state(self, monkeypatch, hidden, n, workers):
+        # TestLockStepSampler's grid; from n = 1024 on each condition is a
+        # group, so every count above one runs on workers.
+        monkeypatch.setattr(diffusion, "_WORKERS", workers)
+        threads = _recording_chains(monkeypatch)
+        TestLockStepSampler.check_grid_cell(hidden, n)
+        on_workers = any(t is not threading.current_thread() for t in threads)
+        assert on_workers == (n >= 1024)
+
+    @pytest.mark.parametrize("steps, n", ((300, 200), (1000, 200), (100, 1500)))
+    def test_noise_budget_cases_start_no_thread(self, monkeypatch, steps, n):
+        # At T = 300 a group of two holds 120,000 noise rows, at T = 1000 a
+        # group of one 200,000, and at 1,500 per condition over 100 steps
+        # 150,000: each over _NOISE_ROWS, so the serial path runs.
+        monkeypatch.setattr(diffusion, "_WORKERS", 4)
+        threads = _recording_chains(monkeypatch)
+        counts = []
+        real = diffusion._forward
+
+        def counting(*args, **kwargs):
+            counts.append(threading.active_count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion, "_forward", counting)
+        sched = NoiseSchedule(steps, 1e-3, 0.2)
+        model = self.model((8,), steps=steps)
+        before = threading.active_count()
+        _sample_classes(model, [3, 0, 1, 2, 4], n, sched, np.random.default_rng(8))
+        assert set(threads) == {threading.current_thread()}
+        assert set(counts) == {before}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("classes", ([0, 1, 2, 3], [2, 1, 0, 3], [3, 2, 1, 0]))
+    def test_divergence_raises_the_serial_message_and_joins_workers(self, monkeypatch, classes):
+        # Classes 1 and 2 diverge; results join in group order, so the first
+        # of them in ``classes`` is named, as the serial path names it.
+        model = TestNonFiniteSample().model(row=1)
+        params = model.params.copy()
+        params[model.layout.class_table].reshape(5, 8)[2] = np.nan
+        model = model.with_params(params)
+        sched = NoiseSchedule(6, 0.01, 0.2)
+        monkeypatch.setattr(diffusion, "_WORKERS", 1)
+        with pytest.raises(SamplingDiverged) as serial:
+            _sample_classes(model, classes, 1025, sched, np.random.default_rng(0))
+        monkeypatch.setattr(diffusion, "_WORKERS", 2)
+        threads = _recording_chains(monkeypatch)
+        before = set(threading.enumerate())
+        with pytest.raises(SamplingDiverged) as threaded:
+            _within(60, _sample_classes, model, classes, 1025, sched, np.random.default_rng(0))
+        assert str(threaded.value) == str(serial.value)
+        assert f"class {[k for k in classes if k in (1, 2)][0]} at timestep 6" in str(serial.value)
+        assert threads and all(t.name.startswith("ThreadPoolExecutor") for t in threads)
+        alive = [t for t in set(threading.enumerate()) - before if t.is_alive()]
+        for thread in alive:
+            thread.join(10)
+        assert alive == []
+
+    def test_stress_many_workers_stays_bit_equal(self, monkeypatch):
+        # Eight workers over ten conditions: groups of one at n = 40 (ten
+        # groups, eight in flight) and of three at n = 20 (3, 3, 3, 1).
+        monkeypatch.setattr(diffusion, "_WORKERS", 8)
+        monkeypatch.setattr(diffusion, "_ROWS", 64)
+        rng = np.random.default_rng(5)
+        model = init_model(2, (16, 16), 10, 6, rng)
+        model = model.with_params(model.params + 0.1 * rng.standard_normal(model.num_params))
+        sched = NoiseSchedule(6, 1e-3, 0.2)
+        classes = [7, *(k for k in range(10) if k != 7)]
+        want = {
+            n: reference_full_eval_samples(model, classes, n, sched, np.random.default_rng(n))
+            for n in (20, 40)
+        }
+
+        def repeat():
+            for rep in range(50):
+                n = (20, 40)[rep % 2]
+                got = _sample_classes(model, classes, n, sched, np.random.default_rng(n))
+                assert got.tobytes() == want[n].tobytes(), f"repetition {rep} differs"
+
+        started = time.monotonic()
+        _within(120, repeat)
+        assert time.monotonic() - started < 120
+
+    def test_peak_allocation_is_two_groups_in_flight(self, monkeypatch):
+        # Ten conditions at n = 400 over T = 50 form five groups of two. With
+        # two workers at most two groups are in flight, each with its own
+        # hidden buffers and its whole noise; the next group's noise is
+        # drawn only after the first result is joined.
+        monkeypatch.setattr(diffusion, "_WORKERS", 2)
+        threads = _recording_chains(monkeypatch)
+        hidden, n, steps = (64, 64), 400, 50
+        rng = np.random.default_rng(31)
+        model = init_model(2, hidden, 10, steps, rng)
+        sched = NoiseSchedule(steps, 1e-3, 0.2)
+        peak = peak_allocation(
+            _sample_classes, model, list(range(10)), n, sched, np.random.default_rng(2)
+        )
+        assert len(threads) == 5 and threading.current_thread() not in threads
+        rows = 2 * n
+        group = (len(hidden) + 0.5) * rows * hidden[0] * 8 + rows * steps * 2 * 8
+        assert peak <= 2 * group
+
+
+class TestSamplerWorkers:
+    """The BLAS-thread rule behind diffusion._WORKERS."""
+
+    @pytest.mark.parametrize(
+        "environ, workers",
+        (
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+            ({}, 1),
+            ({"OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4),
+            # OpenBLAS skips a variable that holds no positive integer.
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 1),
+        ),
+    )
+    def test_one_blas_thread_gives_one_worker_per_cpu(self, environ, workers):
+        assert diffusion._sampler_workers(environ, 4) == workers
+
+    def test_one_cpu_gives_one_worker(self):
+        assert diffusion._sampler_workers({"OPENBLAS_NUM_THREADS": "1"}, 1) == 1
+        assert diffusion._sampler_workers({}, 1) == 1
+
+    @pytest.mark.parametrize("threads", ("1", "2"))
+    def test_read_at_import(self, threads):
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", "from diffunlearn import diffusion; print(diffusion._WORKERS)"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        expected = diffusion._usable_cpus() if threads == "1" else 1
+        assert int(result.stdout) == expected
 
 
 class TestNonFiniteSample:

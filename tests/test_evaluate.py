@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from diffunlearn import diffusion
 from diffunlearn import evaluate as evaluate_mod
 from diffunlearn.data import MixtureSpec, circle_mixture
 from diffunlearn.diffusion import NoiseSchedule, ddpm_sample
@@ -456,6 +457,19 @@ class TestFullEval:
                 want = full_eval(toy3.model, forget, toy3.spec, toy3.schedule, config, 5)
             assert got == want
             assert np.float64(got.mmd).tobytes() == np.float64(want.mmd).tobytes()
+
+    @pytest.mark.parametrize("n", (400, 1100))
+    def test_matches_serial_sampling_on_worker_threads(self, toy3, monkeypatch, n):
+        # Groups of two and one conditions at n = 400, three groups of one
+        # at 1,100; two workers give the serial report bit for bit.
+        config = EvalConfig(n_per_condition=n)
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(diffusion, "_WORKERS", workers)
+            reports.append(full_eval(toy3.model, 1, toy3.spec, toy3.schedule, config, 5))
+        serial, threaded = reports
+        assert threaded == serial
+        assert np.float64(threaded.mmd).tobytes() == np.float64(serial.mmd).tobytes()
 
     def test_deterministic_per_seed(self, toy3):
         config = EvalConfig(n_per_condition=100)

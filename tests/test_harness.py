@@ -259,3 +259,52 @@ class TestDiversityAblation:
                 assert entry[f"case1_{metric}"] == one
                 assert entry[f"case2_{metric}"] == two
                 assert entry[f"delta_{metric}"] == two - one
+
+    def test_rows_are_ok(self, ablation):
+        rows, _ = ablation
+        assert [r["status"] for r in rows] == ["ok"] * 6
+        assert [r["error"] for r in rows] == [""] * 6
+
+    def test_diverging_sampler_cell_recorded_as_failed(self, tiny_run, monkeypatch):
+        # Both graddiff cells' models get an inf output bias, so their
+        # sampler diverges; the other four cells keep their rows and deltas.
+        config, spec, data, schedule, model = tiny_run
+        real = harness.unlearn_from_config
+
+        def poisoned(config, *args, **kwargs):
+            final, reports, extra = real(config, *args, **kwargs)
+            if config.unlearn.strategy == "graddiff":
+                params = final.params.copy()
+                params[final.layout.biases[-1]] = np.inf
+                final = final.with_params(params)
+            return final, reports, extra
+
+        monkeypatch.setattr(harness, "unlearn_from_config", poisoned)
+        rows, summary = harness.run_diversity_ablation(config, model, data, spec, schedule)
+        assert len(rows) == 6
+        failed = [r for r in rows if r["status"] == "failed"]
+        assert [(r["case"], r["strategy"]) for r in failed] == [(1, "graddiff"), (2, "graddiff")]
+        assert all(r["error"].startswith("SamplingDiverged") for r in failed)
+        assert all(r[m] == "" for r in failed for m in ("ua", "ra", "mmd"))
+        by_strategy = {e["strategy"]: e for e in summary}
+        for metric in ("ua", "ra", "mmd"):
+            assert by_strategy["graddiff"][f"delta_{metric}"] == ""
+            for strat in harness.ABLATION_STRATEGIES[1:]:
+                assert isinstance(by_strategy[strat][f"delta_{metric}"], float)
+
+    def test_one_failed_case_empties_the_deltas(self, tiny_run, monkeypatch):
+        config, spec, data, schedule, model = tiny_run
+        real = harness.unlearn_run
+
+        def sabotage(model, forget_set, remain_set, schedule, cfg, rng=None):
+            if cfg.strategy == "restricted" and len(np.unique(remain_set.labels)) == 2:
+                raise RuntimeError("sabotaged cell")
+            return real(model, forget_set, remain_set, schedule, cfg, rng)
+
+        monkeypatch.setattr(harness, "unlearn_run", sabotage)
+        rows, summary = harness.run_diversity_ablation(config, model, data, spec, schedule)
+        failed = [(r["case"], r["strategy"]) for r in rows if r["status"] == "failed"]
+        assert failed == [(1, "restricted")]
+        entry = {e["strategy"]: e for e in summary}["restricted"]
+        assert entry["case1_ra"] == "" and isinstance(entry["case2_ra"], float)
+        assert entry["delta_ua"] == entry["delta_ra"] == entry["delta_mmd"] == ""

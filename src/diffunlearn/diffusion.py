@@ -122,6 +122,45 @@ def draw_corruption(schedule: NoiseSchedule, x0: np.ndarray, rng: np.random.Gene
     return _corrupt(schedule, x0, t - 1, eps), t, eps
 
 
+def _check_sets(model: NoisePredictor, schedule: NoiseSchedule, *sets) -> None:
+    """The training loops' one entry check, made before any draw.
+
+    Each set is non-empty, its points have ``input_dim`` columns and every
+    label lies in 0..num_classes-1; the model's timestep table covers the
+    schedule.
+    """
+    for data in sets:
+        if len(data) == 0:
+            raise DomainError("training set is empty")
+        if data.points.shape[1] != model.input_dim:
+            raise ShapeError(
+                f"points have {data.points.shape[1]} columns, "
+                f"model takes {model.input_dim}"
+            )
+        if data.labels.max() >= model.num_classes:
+            raise DomainError(f"class ids must lie in 0..{model.num_classes - 1}")
+    if model.num_timesteps < schedule.num_timesteps:
+        raise DomainError("model timestep table is smaller than the schedule horizon")
+
+
+def _corrupted_pass(views, schedule: NoiseSchedule, points, labels, gen, hidden=None):
+    """One minibatch's corruption draws, forward pass and per-sample errors.
+
+    ``views`` is an unpacked parameter vector and ``points``/``labels`` a
+    minibatch of a set :func:`_check_sets` passed; nothing is checked.
+    Draws as :func:`diffusion_loss` does and runs the ``nn._forward``
+    kernel, into the caller's ``hidden`` buffers when given. Returns
+    (per_sample, backward_args): per_sample[i] = ||out_i - eps_i||^2, and
+    backward_args = (acts, eps, t_rows, c_rows), the arguments
+    ``nn._backward`` takes between its ``layout`` and its sample weights.
+    """
+    x_t, t, eps = draw_corruption(schedule, points, gen)
+    t_rows = t - 1
+    acts = _forward(views, x_t, t_rows, labels, hidden)
+    per_sample = ((acts[-1] - eps) ** 2).sum(axis=1)
+    return per_sample, (acts, eps, t_rows, labels)
+
+
 def diffusion_loss(
     model: NoisePredictor,
     x0_batch,

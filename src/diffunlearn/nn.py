@@ -270,8 +270,8 @@ def _forward(views, x, t_select, c_select, hidden=None) -> list:
     output.
 
     The checked wrappers :func:`forward_activations` and :func:`mlp_forward`
-    share this kernel with the loops of ``train.pretrain``,
-    ``unlearn.unlearn_run`` and the sampler in ``diffusion``, which check
+    share this kernel with the sampler and ``_corrupted_pass`` in
+    ``diffusion``, the minibatch pass of every training loop, which check
     their inputs once on entry.
     """
     weights, biases, time_table, class_table = views
@@ -304,8 +304,8 @@ def _backward(views, layout, acts, targets, t_rows, c_rows, sample_weights, grad
     sequential scatter-add gives, with no BLAS call.
 
     :func:`backward_from_activations` wraps this kernel; ``train.pretrain``
-    and ``unlearn.unlearn_run`` call it on their own parameter and gradient
-    vectors. Returns ``grad``.
+    and the one unlearning step of ``unlearn_step`` and ``unlearn_run`` call
+    it on their own parameter and gradient vectors. Returns ``grad``.
     """
     weights = views[0]
     w = np.asarray(sample_weights, dtype=np.float64).reshape(-1, 1)

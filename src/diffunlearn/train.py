@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .diffusion import NoiseSchedule, draw_corruption
-from .errors import DomainError, ShapeError, TrainingDiverged
-from .nn import NoisePredictor, _backward, _forward, _unpack, mlp_forward
+from .diffusion import NoiseSchedule, _check_sets, _corrupted_pass
+from .errors import DomainError, TrainingDiverged
+from .nn import NoisePredictor, _backward, _unpack
 from .rngs import as_generator
 
 
@@ -35,8 +35,9 @@ class TrainConfig:
             raise DomainError("steps must be >= 0")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        if self.lr <= 0.0 or (self.lr_final is not None and self.lr_final <= 0.0):
-            raise DomainError("learning rates must be > 0")
+        rates = (self.lr,) if self.lr_final is None else (self.lr, self.lr_final)
+        if not all(0.0 < lr < np.inf for lr in rates):
+            raise DomainError("learning rates must be finite and > 0")
 
 
 def pretrain(
@@ -52,27 +53,14 @@ def pretrain(
     Returns (trained_model, loss_history). A non-finite loss aborts with
     TrainingDiverged rather than silently corrupting the parameters.
 
-    Checked once on entry, before any draw: the set is non-empty, its
-    points have ``input_dim`` columns, every label lies in
-    0..num_classes-1 and the model's timestep table covers the schedule.
-    Each step then draws exactly as ``diffusion_loss`` does (the minibatch
-    indices, then ``draw_corruption``) and runs the same layer kernels as
-    ``nn.forward_activations`` and ``nn.backward_from_activations``
-    (``nn._forward``, ``nn._backward``) on one writable copy of the
-    parameters, unpacked once and updated in place; the returned model is
-    built once, at the end. The trained bytes equal those of a loop over
-    ``diffusion_loss`` and ``with_params``.
+    Checked once on entry, before any draw, by ``diffusion._check_sets``.
+    Each step then draws the minibatch indices and runs
+    ``diffusion._corrupted_pass`` and the ``nn._backward`` kernel on one
+    writable copy of the parameters, unpacked once and updated in place;
+    the returned model is built once, at the end. The trained bytes equal
+    those of a loop over ``diffusion_loss`` and ``with_params``.
     """
-    if len(data) == 0:
-        raise DomainError("training set is empty")
-    if data.points.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"points have {data.points.shape[1]} columns, model takes {model.input_dim}"
-        )
-    if data.labels.max() >= model.num_classes:
-        raise DomainError(f"class ids must lie in 0..{model.num_classes - 1}")
-    if model.num_timesteps < schedule.num_timesteps:
-        raise DomainError("model timestep table is smaller than the schedule horizon")
+    _check_sets(model, schedule, data)
     gen, _ = as_generator(rng)
     lr_final = config.lr if config.lr_final is None else config.lr_final
     batch = config.batch_size
@@ -87,14 +75,13 @@ def pretrain(
         frac = step / config.steps
         lr = config.lr * (1.0 - frac) + lr_final * frac
         idx = gen.integers(0, len(data), size=batch)
-        c_rows = data.labels[idx]
-        x_t, t, eps = draw_corruption(schedule, data.points[idx], gen)
-        t_rows = t - 1
-        acts = _forward(views, x_t, t_rows, c_rows, hidden)
-        loss = float(((acts[-1] - eps) ** 2).sum(axis=1).mean())
+        per_sample, backward_args = _corrupted_pass(
+            views, schedule, data.points[idx], data.labels[idx], gen, hidden
+        )
+        loss = float(per_sample.mean())
         if not np.isfinite(loss):
             raise TrainingDiverged(f"loss became {loss} at step {step}")
-        _backward(views, layout, acts, eps, t_rows, c_rows, sample_weights, grad)
+        _backward(views, layout, *backward_args, sample_weights, grad)
         grad *= lr  # params -= lr * grad, without the temporary
         params -= grad
         history.append(loss)
@@ -107,13 +94,13 @@ def per_sample_losses(
     schedule: NoiseSchedule,
     rng,
 ) -> np.ndarray:
-    """One drawn (t, eps) per sample; returns each sample's squared error."""
-    if len(data) == 0:
-        raise DomainError("dataset is empty")
+    """One drawn (t, eps) per sample; returns each sample's squared error.
+
+    Checked on entry as :func:`pretrain` is.
+    """
+    _check_sets(model, schedule, data)
     gen, _ = as_generator(rng)
-    x_t, t, eps = draw_corruption(schedule, data.points, gen)
-    pred = mlp_forward(model, x_t, t, data.labels)
-    return ((pred - eps) ** 2).sum(axis=1)
+    return _corrupted_pass(model.unpack(), schedule, data.points, data.labels, gen)[0]
 
 
 def derive_loss_cap(

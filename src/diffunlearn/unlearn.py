@@ -19,6 +19,7 @@ applied update.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -27,12 +28,11 @@ import numpy as np
 
 from . import artifacts
 from .data import LabeledDataset
-from .diffusion import NoiseSchedule, diffusion_loss, draw_corruption
-from .errors import DegenerateGradientError, DomainError, ShapeError, TrainingDiverged
+from .diffusion import NoiseSchedule, _check_sets, _corrupted_pass, draw_corruption
+from .errors import DegenerateGradientError, DomainError, TrainingDiverged
 from .nn import (
     NoisePredictor,
     _backward,
-    _forward,
     _unpack,
     backward_from_activations,
     forward_activations,
@@ -100,12 +100,12 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.forget_weight < 0.0:
-            raise DomainError("forget_weight must be >= 0")
-        if self.loss_cap <= 0.0:
-            raise DomainError("loss_cap must be > 0")
-        if self.step_size <= 0.0:
-            raise DomainError("step_size must be > 0")
+        if not 0.0 <= self.forget_weight < np.inf:
+            raise DomainError("forget_weight must be finite and >= 0")
+        if not 0.0 < self.loss_cap < np.inf:
+            raise DomainError("loss_cap must be finite and > 0")
+        if not 0.0 < self.step_size < np.inf:
+            raise DomainError("step_size must be finite and > 0")
         if self.iterations < 1:
             raise DomainError("iterations must be >= 1")
         if self.batch_forget < 1 or self.batch_remain < 1:
@@ -213,6 +213,55 @@ def _descend(params, direction, step_size: float) -> None:
     params -= direction
 
 
+def _stepper(
+    model: NoisePredictor, schedule: NoiseSchedule, config: UnlearnConfig, gen
+):
+    """The one unlearning step, on a writable copy of ``model``'s parameters.
+
+    Returns (params, step). ``step(forget, remain, iteration)`` takes two
+    (points, labels) minibatches of checked sets, updates ``params`` in
+    place and returns the StepReport. It runs ``diffusion._corrupted_pass``
+    and ``nn._backward`` on the forget batch, then on the remain batch,
+    then the strategy's direction and the update. A non-finite loss or
+    parameter raises TrainingDiverged. Hidden buffers and remain weights
+    are built once per batch size, the two gradient vectors once.
+    """
+    rule, _ = parse_strategy(config.strategy)
+    params = np.array(model.params)
+    layout = model.layout
+    views = _unpack(layout, params)
+    grad_f, grad_r = np.empty_like(params), np.empty_like(params)
+
+    @functools.cache
+    def sized(batch):
+        # Hidden buffers and batch-mean sample weights for one batch size.
+        hidden = [np.empty((batch, width)) for width in model.hidden_dims]
+        return hidden, np.full(batch, 1.0 / batch)
+
+    def step(forget, remain, iteration):
+        hidden, _ = sized(len(forget[0]))
+        errors, pass_f = _corrupted_pass(views, schedule, *forget, gen, hidden)
+        weights, loss_f, raw_mse, truncated = _truncation(
+            errors, config.forget_weight, config.loss_cap
+        )
+        _backward(views, layout, *pass_f, weights, grad_f)
+        hidden, mean_weights = sized(len(remain[0]))
+        errors, pass_r = _corrupted_pass(views, schedule, *remain, gen, hidden)
+        loss_r = float(errors.mean())
+        _backward(views, layout, *pass_r, mean_weights, grad_r)
+        direction, dot = _direction(rule, grad_f, grad_r, iteration)
+        _descend(params, direction, config.step_size)
+        finite = math.isfinite(loss_f) and math.isfinite(loss_r)
+        if not (finite and np.isfinite(params).all()):
+            raise TrainingDiverged(f"unlearning diverged at iteration {iteration}")
+        return StepReport(
+            iteration=iteration, loss_r=loss_r, loss_f=loss_f, raw_forget_mse=raw_mse,
+            conflicted=dot < 0.0, dot=dot, truncated_fraction=truncated,
+        )
+
+    return params, step
+
+
 def unlearn_step(
     model: NoisePredictor,
     forget_batch: LabeledDataset,
@@ -224,42 +273,26 @@ def unlearn_step(
 ):
     """One gradient step against the combined objective.
 
-    Evaluation order is fixed (forgetting loss, then remaining loss) so the
-    random stream advances identically under every strategy. A degenerate
-    restricted step (both gradients zero) becomes a logged no-op.
+    Checks both batches as :func:`unlearn_run` checks its sets, then runs
+    the loop's own step (:func:`_stepper`) once on ``rng``: the forget
+    batch's draws, then the remain batch's, so the stream advances
+    identically under every strategy. A degenerate restricted step (both
+    gradients zero) becomes a logged no-op.
 
     Returns:
         (updated_model, StepReport)
+
+    Raises:
+        TrainingDiverged: the step produced a non-finite loss or parameter.
     """
-    if len(forget_batch) == 0 or len(remain_batch) == 0:
-        raise DomainError("both minibatches must be nonempty")
-    loss_f, grad_f, raw_mse, truncated = forgetting_loss(
-        model,
-        forget_batch.points,
-        forget_batch.labels,
-        schedule,
-        config.forget_weight,
-        config.loss_cap,
-        rng,
+    _check_sets(model, schedule, forget_batch, remain_batch)
+    params, step = _stepper(model, schedule, config, rng)
+    report = step(
+        (forget_batch.points, forget_batch.labels),
+        (remain_batch.points, remain_batch.labels),
+        iteration,
     )
-    loss_r, grad_r = diffusion_loss(
-        model, remain_batch.points, remain_batch.labels, schedule, rng
-    )
-    rule, _ = parse_strategy(config.strategy)
-    direction, dot = _direction(rule, grad_f, grad_r, iteration)
-    params = np.array(model.params)
-    _descend(params, direction, config.step_size)
-    updated = model.with_params(params)
-    report = StepReport(
-        iteration=iteration,
-        loss_r=loss_r,
-        loss_f=loss_f,
-        raw_forget_mse=raw_mse,
-        conflicted=dot < 0.0,
-        dot=dot,
-        truncated_fraction=truncated,
-    )
-    return updated, report
+    return model.with_params(params), report
 
 
 def _class_pools(labels: np.ndarray) -> list[np.ndarray]:
@@ -297,19 +330,12 @@ def unlearn_run(
     batch's, then the remain batch's), all from one stream, so a (config,
     seed) pair pins the entire run bit-for-bit.
 
-    Checked once on entry, before any draw: both sets are non-empty, their
-    points have ``input_dim`` columns, every label lies in
-    0..num_classes-1 and the model's timestep table covers the schedule.
+    Checked once on entry, before any draw, by ``diffusion._check_sets``.
     The strategy is parsed once, and a ``+diverse`` strategy's per-class
-    remain pools are built once. Each step then gathers its minibatch
-    points and labels directly and runs the layer kernels ``nn._forward``
-    and ``nn._backward`` on one writable copy of the parameters, unpacked
-    once and updated in place, with one hidden-layer buffer set per batch
-    size and one gradient vector per objective. The truncation, the
-    strategy's direction and the update are the helpers
-    :func:`unlearn_step` uses, so the final parameters and every report
-    equal those of a loop over ``subset``, :func:`unlearn_step` and
-    ``with_params``; the returned model is built once, at the end.
+    remain pools are built once. Each iteration gathers its minibatches
+    directly and runs :func:`unlearn_step`'s own step on one parameter
+    vector, so the run equals a loop over ``subset``, :func:`unlearn_step`
+    and ``with_params`` by construction; the model is built at the end.
 
     Args:
         rng: Overrides config.seed when given (seed or Generator).
@@ -320,40 +346,11 @@ def unlearn_run(
     Raises:
         TrainingDiverged: a step produced a non-finite loss or parameter.
     """
-    if len(forget_set) == 0 or len(remain_set) == 0:
-        raise DomainError("forget and remain sets must be nonempty")
-    for data in (forget_set, remain_set):
-        if data.points.shape[1] != model.input_dim:
-            raise ShapeError(
-                f"points have {data.points.shape[1]} columns, "
-                f"model takes {model.input_dim}"
-            )
-        if data.labels.max() >= model.num_classes:
-            raise DomainError(f"class ids must lie in 0..{model.num_classes - 1}")
-    if model.num_timesteps < schedule.num_timesteps:
-        raise DomainError("model timestep table is smaller than the schedule horizon")
+    _check_sets(model, schedule, forget_set, remain_set)
     gen, _ = as_generator(config.seed if rng is None else rng)
-    rule, stratify = parse_strategy(config.strategy)
+    _, stratify = parse_strategy(config.strategy)
     pools = _class_pools(remain_set.labels) if stratify else None
-    params = np.array(model.params)
-    layout = model.layout
-    views = _unpack(layout, params)
-    grad_f, grad_r = np.empty_like(params), np.empty_like(params)
-    hidden = {
-        batch: [np.empty((batch, width)) for width in model.hidden_dims]
-        for batch in (config.batch_forget, config.batch_remain)
-    }
-    remain_weights = np.full(config.batch_remain, 1.0 / config.batch_remain)
-
-    def corrupted_forward(data, idx):
-        # One minibatch's corruption draws, forward pass and per-sample errors.
-        c_rows = data.labels[idx]
-        x_t, t, eps = draw_corruption(schedule, data.points[idx], gen)
-        t_rows = t - 1
-        acts = _forward(views, x_t, t_rows, c_rows, hidden[len(idx)])
-        per_sample = ((acts[-1] - eps) ** 2).sum(axis=1)
-        return per_sample, (views, layout, acts, eps, t_rows, c_rows)
-
+    params, step = _stepper(model, schedule, config, gen)
     reports = []
     for iteration in range(config.iterations):
         f_idx = gen.integers(0, len(forget_set), size=config.batch_forget)
@@ -361,33 +358,9 @@ def unlearn_run(
             r_idx = _stratified_indices(pools, config.batch_remain, gen)
         else:
             r_idx = gen.integers(0, len(remain_set), size=config.batch_remain)
-        per_sample, pass_f = corrupted_forward(forget_set, f_idx)
-        weights, loss_f, raw_mse, truncated = _truncation(
-            per_sample, config.forget_weight, config.loss_cap
-        )
-        _backward(*pass_f, weights, grad_f)
-        per_sample, pass_r = corrupted_forward(remain_set, r_idx)
-        loss_r = float(per_sample.mean())
-        _backward(*pass_r, remain_weights, grad_r)
-        direction, dot = _direction(rule, grad_f, grad_r, iteration)
-        _descend(params, direction, config.step_size)
-        if not (
-            math.isfinite(loss_f)
-            and math.isfinite(loss_r)
-            and np.isfinite(params).all()
-        ):
-            raise TrainingDiverged(f"unlearning diverged at iteration {iteration}")
-        reports.append(
-            StepReport(
-                iteration=iteration,
-                loss_r=loss_r,
-                loss_f=loss_f,
-                raw_forget_mse=raw_mse,
-                conflicted=dot < 0.0,
-                dot=dot,
-                truncated_fraction=truncated,
-            )
-        )
+        forget = forget_set.points[f_idx], forget_set.labels[f_idx]
+        remain = remain_set.points[r_idx], remain_set.labels[r_idx]
+        reports.append(step(forget, remain, iteration))
     return model.with_params(params), reports
 
 

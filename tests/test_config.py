@@ -13,11 +13,28 @@ from diffunlearn.config import (
     load_config,
     stage_seed,
 )
-from diffunlearn.errors import ConfigError
+from diffunlearn.errors import ConfigError, DomainError
+from diffunlearn.train import TrainConfig
+from diffunlearn.unlearn import UnlearnConfig
 
 
 def test_defaults_round_trip():
     assert config_from_dict(default_config_dict()) == RunConfig()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("cls, field", [
+    (TrainConfig, "lr"),
+    (TrainConfig, "lr_final"),
+    (UnlearnConfig, "step_size"),
+    (UnlearnConfig, "loss_cap"),
+    (UnlearnConfig, "forget_weight"),
+])
+def test_python_configs_reject_non_finite_values(cls, field, value):
+    # As config_from_dict does: a NaN learning rate would otherwise train
+    # to NaN parameters behind a finite loss history.
+    with pytest.raises(DomainError):
+        cls(**{field: value})
 
 
 def test_empty_document_gives_defaults():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from diffunlearn.data import LabeledDataset, circle_mixture, gen_mixture
+from diffunlearn.data import circle_mixture, gen_mixture
 from diffunlearn.diffusion import NoiseSchedule
-from diffunlearn.errors import DomainError, ShapeError, TrainingDiverged
+from diffunlearn.errors import DomainError, TrainingDiverged
 from diffunlearn.nn import init_model
 from diffunlearn.train import (
     TrainConfig,
@@ -65,37 +65,6 @@ class TestPretrain:
                 TrainConfig(steps=200, batch_size=16, lr=1e6, lr_final=1e6),
                 0,
             )
-
-    def test_empty_dataset_rejected(self):
-        data, sched, model = small_setup()
-        empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
-        with pytest.raises(DomainError):
-            pretrain(model, empty, sched, TrainConfig(steps=1), 0)
-
-    def test_label_out_of_range_rejected_before_any_step(self):
-        # The whole set is checked on entry, so a bad label raises even
-        # when the seed never draws its sample, and nothing is drawn.
-        data, sched, model = small_setup()
-        labels = np.array(data.labels)
-        bad = len(data) - 1
-        labels[bad] = model.num_classes
-        tainted = LabeledDataset(data.points, labels)
-        config = TrainConfig(steps=1, batch_size=1)
-        assert np.random.default_rng(0).integers(0, len(data), size=1)[0] != bad
-        gen = np.random.default_rng(0)
-        state = gen.bit_generator.state
-        with pytest.raises(DomainError, match="class ids"):
-            pretrain(model, tainted, sched, config, gen)
-        assert gen.bit_generator.state == state
-
-    def test_incompatible_model_rejected_on_entry(self):
-        data, sched, model = small_setup()
-        wide = LabeledDataset(np.zeros((len(data), 3)), data.labels)
-        with pytest.raises(ShapeError):
-            pretrain(model, wide, sched, TrainConfig(steps=1), 0)
-        short = init_model(2, (16,), 3, 9, np.random.default_rng(0))
-        with pytest.raises(DomainError, match="timestep table"):
-            pretrain(short, data, sched, TrainConfig(steps=1), 0)
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,14 @@ import pytest
 from diffunlearn import unlearn as unlearn_mod
 from diffunlearn.data import LabeledDataset, balanced_remaining_set
 from diffunlearn.diffusion import NoiseSchedule, diffusion_loss
-from diffunlearn.errors import DomainError, ShapeError
+from diffunlearn.errors import DomainError, ShapeError, TrainingDiverged
 from diffunlearn.nn import (
     NoisePredictor,
     init_model,
     param_count,
     squared_error_backward,
 )
-from diffunlearn.train import derive_loss_cap
+from diffunlearn.train import TrainConfig, derive_loss_cap, pretrain
 from diffunlearn.unlearn import (
     StepReport,
     UnlearnConfig,
@@ -260,35 +260,28 @@ class TestUnlearnStep:
         assert float(v @ grad_f) <= slack * np.linalg.norm(grad_f)
         assert float(v @ grad_r) <= slack * np.linalg.norm(grad_r)
 
-    def test_degenerate_gradients_noop_and_logged(self, toy3, monkeypatch, caplog):
+    @pytest.mark.parametrize("entry", ["unlearn_step", "unlearn_run"])
+    def test_degenerate_gradients_noop_and_logged(self, toy3, monkeypatch, caplog, entry):
+        # Zero both gradients at the kernel the shared step calls.
         fb, rb = self.setup_batches(toy3)
-        n = toy3.model.num_params
 
-        monkeypatch.setattr(
-            unlearn_mod,
-            "forgetting_loss",
-            lambda *a, **k: (0.0, np.zeros(n), 0.0, 0.0),
-        )
-        monkeypatch.setattr(
-            unlearn_mod, "diffusion_loss", lambda *a, **k: (0.0, np.zeros(n))
-        )
+        def zero_backward(views, layout, acts, targets, t_rows, c_rows, w, grad):
+            grad[:] = 0.0
+            return grad
+
+        monkeypatch.setattr(unlearn_mod, "_backward", zero_backward)
         cfg = UnlearnConfig(strategy="restricted", iterations=1, loss_cap=1.0)
         with caplog.at_level(logging.WARNING, logger="diffunlearn.unlearn"):
-            updated, report = unlearn_step(
-                toy3.model, fb, rb, toy3.schedule, cfg, np.random.default_rng(0)
-            )
+            if entry == "unlearn_step":
+                updated, report = unlearn_step(
+                    toy3.model, fb, rb, toy3.schedule, cfg, np.random.default_rng(0)
+                )
+            else:
+                updated, (report,) = unlearn_run(toy3.model, fb, rb, toy3.schedule, cfg)
         assert np.array_equal(updated.params, toy3.model.params)
         assert report.dot == 0.0
         assert not report.conflicted
         assert any("no-op" in rec.message for rec in caplog.records)
-
-    def test_empty_batch_rejected(self, toy3):
-        fb, rb = self.setup_batches(toy3)
-        empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
-        cfg = UnlearnConfig(iterations=1, loss_cap=1.0)
-        with pytest.raises(DomainError):
-            unlearn_step(toy3.model, empty, rb, toy3.schedule, cfg,
-                         np.random.default_rng(0))
 
 
 class TestUnlearnRun:
@@ -357,12 +350,6 @@ class TestUnlearnRun:
             want = reference_stratified_indices(labels, batch, ref)
             assert got.tobytes() == want.tobytes()
         assert gen.bit_generator.state == ref.bit_generator.state
-
-    def test_empty_sets_rejected(self, toy3):
-        empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
-        cfg = UnlearnConfig(iterations=1, loss_cap=1.0)
-        with pytest.raises(DomainError):
-            unlearn_run(toy3.model, empty, toy3.data, toy3.schedule, cfg)
 
 
 class TestTrajectoryCsv:
@@ -501,39 +488,68 @@ class TestCheckOnceLoop:
         assert run[0].params.tobytes() == toy3.model.params.tobytes()
         assert all(r.dot == 0.0 and not r.conflicted for r in run[1])
 
-    def untouched(self, gen, seed):
-        return gen.standard_normal(4).tobytes() == np.random.default_rng(seed).standard_normal(4).tobytes()
 
-    def test_undrawn_out_of_range_remain_label_raises_on_entry(self, toy3):
-        forget, remain = self.sets(toy3)
-        # One label past the model's classes at the end of a large set: the
-        # old loop never drew it at this seed and ran to the end.
-        labels = np.array(remain.labels)
-        labels[-1] = toy3.model.num_classes
-        tainted = LabeledDataset(remain.points, labels)
-        cfg = UnlearnConfig(loss_cap=1.0, iterations=2, batch_forget=4,
-                            batch_remain=4, seed=1)
-        reference_unlearn_run(toy3.model, forget, tainted, toy3.schedule, cfg)
-        gen = np.random.default_rng(1)
-        with pytest.raises(DomainError, match="class ids"):
-            unlearn_run(toy3.model, forget, tainted, toy3.schedule, cfg, rng=gen)
-        assert self.untouched(gen, 1)
+class TestEntryCheck:
+    """The one entry check every training loop makes before any draw."""
 
-    def test_wrong_point_columns_raise_on_entry(self, toy3):
-        forget, remain = self.sets(toy3)
-        wide = LabeledDataset(np.zeros((len(remain), 3)), remain.labels)
-        cfg = UnlearnConfig(loss_cap=1.0, iterations=1)
-        for f, r in ((forget, wide), (LabeledDataset(np.zeros((5, 3)), np.zeros(5, dtype=int)), remain)):
-            gen = np.random.default_rng(2)
-            with pytest.raises(ShapeError, match="columns"):
-                unlearn_run(toy3.model, f, r, toy3.schedule, cfg, rng=gen)
-            assert self.untouched(gen, 2)
+    UNLEARN = UnlearnConfig(loss_cap=1.0, iterations=2, batch_forget=4, batch_remain=4)
+    # name: (sets taken, call(model, schedule, sets, gen))
+    ENTRIES = {
+        "pretrain": (1, lambda model, schedule, sets, gen: pretrain(
+            model, *sets, schedule, TrainConfig(steps=2, batch_size=4), gen)),
+        "derive_loss_cap": (1, lambda model, schedule, sets, gen: derive_loss_cap(
+            model, *sets, schedule, gen)),
+        "unlearn_run": (2, lambda model, schedule, sets, gen: unlearn_run(
+            model, *sets, schedule, TestEntryCheck.UNLEARN, rng=gen)),
+        "unlearn_step": (2, lambda model, schedule, sets, gen: unlearn_step(
+            model, *sets, schedule, TestEntryCheck.UNLEARN, gen)),
+    }
 
-    def test_short_timestep_table_raises_on_entry(self, toy3):
-        forget, remain = self.sets(toy3)
-        longer = NoiseSchedule(toy3.schedule.num_timesteps + 1, 1e-4, 0.15)
-        cfg = UnlearnConfig(loss_cap=1.0, iterations=1)
-        gen = np.random.default_rng(3)
-        with pytest.raises(DomainError, match="horizon"):
-            unlearn_run(toy3.model, forget, remain, longer, cfg, rng=gen)
-        assert self.untouched(gen, 3)
+    @staticmethod
+    def broken(case, data, num_classes):
+        if case == "empty":
+            return LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
+        if case == "columns":
+            return LabeledDataset(np.zeros((len(data), 3)), data.labels)
+        # One label past the model's classes on the last sample: the check
+        # reads the whole set, not only the rows a step draws.
+        labels = np.array(data.labels)
+        labels[-1] = num_classes
+        return LabeledDataset(data.points, labels)
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("case, error, match", [
+        ("empty", DomainError, "empty"),
+        ("columns", ShapeError, "columns"),
+        ("label", DomainError, "class ids"),
+        ("horizon", DomainError, "horizon"),
+    ])
+    def test_rejects_before_any_draw(self, toy3, entry, case, error, match):
+        # Each set in turn is broken; a short timestep table breaks none.
+        count, call = self.ENTRIES[entry]
+        good = [toy3.data.class_subset(0), toy3.data.drop_class(0)][-count:]
+        schedule = toy3.schedule
+        if case == "horizon":
+            schedule = NoiseSchedule(toy3.model.num_timesteps + 1, 1e-4, 0.15)
+            variants = [good]
+        else:
+            variants = []
+            for i in range(count):
+                bad = self.broken(case, good[i], toy3.model.num_classes)
+                variants.append(good[:i] + [bad] + good[i + 1:])
+        for sets in variants:
+            gen = np.random.default_rng(5)
+            with pytest.raises(error, match=match):
+                call(toy3.model, schedule, sets, gen)
+            assert gen.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", ["unlearn_run", "unlearn_step"])
+    def test_non_finite_step_raises(self, toy3, entry):
+        # Output weights x 1e200 overflow the first step's losses.
+        params = np.array(toy3.model.params)
+        params[toy3.model.layout.weights[-1][0]] *= 1e200
+        model = toy3.model.with_params(params)
+        sets = [toy3.data.class_subset(0), toy3.data.drop_class(0)]
+        with pytest.raises(TrainingDiverged):
+            self.ENTRIES[entry][1](model, toy3.schedule, sets, np.random.default_rng(0))

@@ -154,6 +154,13 @@ class SweepSection:
             raise DomainError("sweep grids must be nonempty")
         if len(self.strategies) == 0:
             raise DomainError("sweep needs at least one strategy")
+        # Each value becomes a cell's unlearn field, so it obeys that field's
+        # bounds here instead of failing the command after the checkpoint loads.
+        if any(not 0.0 <= w < math.inf for w in self.forget_weights):
+            raise DomainError("forget_weights must be finite and >= 0")
+        for name in ("loss_caps", "loss_cap_scales"):
+            if any(not 0.0 < v < math.inf for v in getattr(self, name) or ()):
+                raise DomainError(f"{name} must be finite and > 0")
         for name in self.strategies:
             parse_strategy(name)
 

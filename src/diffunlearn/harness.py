@@ -2,8 +2,10 @@
 
 Every stage draws its randomness from a stream derived off the single master
 seed, so any stage rerun with the same config file reproduces its artifacts
-byte-for-byte. Sweeps and ablations deliberately reuse one unlearning seed
-across all cells: cells then differ only in the knob under study.
+byte-for-byte. Sweeps and ablations are grids of cells run by run_cells: a
+cell is a master seed plus the unlearn-section fields it replaces. Both
+grids deliberately reuse the config's seed across all cells: cells then
+differ only in the knob under study.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ ABLATION_SUMMARY_COLUMNS = (
     "delta_ua",
     "delta_ra",
     "delta_mmd",
+)
+# A run_cells row: the cell's outcome, its remain set's classes, its metrics.
+CELL_COLUMNS = (
+    "status", "error", "remain_classes", "ua", "ra", "mmd",
+    "final_loss_r", "final_raw_forget_mse", "conflicted_fraction",
 )
 EVAL_COLUMNS = (
     "forget_class",
@@ -231,42 +238,47 @@ def _tail_mean(values, fraction=0.1) -> float:
     return float(arr[-k:].mean())
 
 
-def _run_cell(config, model, data, spec, schedule, loss_cap, remain_set):
-    final, reports, _ = unlearn_from_config(
-        config, model, data, schedule, loss_cap=loss_cap, remain_set=remain_set
-    )
-    report = eval_from_config(config, final, spec, schedule)
-    return {
-        "ua": report.ua,
-        "ra": report.ra,
-        "mmd": report.mmd,
-        "final_loss_r": _tail_mean([r.loss_r for r in reports]),
-        "final_raw_forget_mse": _tail_mean([r.raw_forget_mse for r in reports]),
-        "conflicted_fraction": float(np.mean([r.conflicted for r in reports])),
-    }
+def run_cells(config: RunConfig, model, data: LabeledDataset, spec, schedule, cells):
+    """Unlearn and evaluate each cell off one pretrained checkpoint.
+
+    A cell is ``(seed, unlearn_changes)``: its master seed and the
+    unlearn-section fields it replaces in ``config``. Its remain set and loss
+    cap follow from that cell config as in :func:`unlearn_from_config`. A
+    cell whose changes the section rejects, or whose run raises, gets status
+    "failed", its error and empty metrics, and the other cells keep their
+    rows; a remain set the config cannot draw is a ConfigError for the grid.
+
+    Returns one row per cell, in order, with the keys of CELL_COLUMNS.
+    """
+    rows = []
+    for seed, changes in cells:
+        row = dict.fromkeys(CELL_COLUMNS, "")
+        try:
+            unlearn = dataclasses.replace(config.unlearn, **changes)
+            cell = dataclasses.replace(config, seed=seed, unlearn=unlearn)
+            remain = build_remain_set(cell, data)
+            row["remain_classes"] = "|".join(str(c) for c in np.unique(remain.labels))
+            final, reports, _ = unlearn_from_config(
+                cell, model, data, schedule, remain_set=remain
+            )
+            report = eval_from_config(cell, final, spec, schedule)
+        except ConfigError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        else:
+            row.update(status="ok", ua=report.ua, ra=report.ra, mmd=report.mmd)
+            row["final_loss_r"] = _tail_mean([r.loss_r for r in reports])
+            row["final_raw_forget_mse"] = _tail_mean([r.raw_forget_mse for r in reports])
+            row["conflicted_fraction"] = float(np.mean([r.conflicted for r in reports]))
+        rows.append(row)
+    return rows
 
 
-def _run_isolated(row, columns, *cell):
-    """Fill ``row`` with one cell's metrics among ``columns`` and status
-    "ok", or, when the cell raises, status "failed", its error and every
-    other column empty, so one failing cell leaves the others' rows."""
-    try:
-        metrics = _run_cell(*cell)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-        for col in columns:
-            row.setdefault(col, "")
-        return row
-    row.update(status="ok", error="")
-    row.update((col, metrics[col]) for col in columns if col in metrics)
-    return row
-
-
-def _with_unlearn(config: RunConfig, **changes) -> RunConfig:
-    """The config with the given unlearn-section fields replaced."""
-    return dataclasses.replace(
-        config, unlearn=dataclasses.replace(config.unlearn, **changes)
-    )
+def _table(columns, labels, rows):
+    """Each cell's labels joined to its run_cells row, keyed by ``columns``."""
+    joined = ({**label, **row} for label, row in zip(labels, rows))
+    return [{col: cell[col] for col in columns} for cell in joined]
 
 
 def sweep_grid(config: RunConfig, base_cap: float):
@@ -295,35 +307,25 @@ def run_sweep(config: RunConfig, model, data: LabeledDataset, spec, schedule):
     metric across the loss_cap axis for every (forget_weight, strategy) pair.
     """
     base_cap = resolve_loss_cap(config, model, data, schedule)
-    remain_set = build_remain_set(config, data)
-    rows = []
-    for weight, cap, strat in sweep_grid(config, base_cap):
-        cell_cfg = _with_unlearn(
-            config, forget_weight=weight, loss_cap=cap, strategy=strat
-        )
-        row = {"forget_weight": weight, "loss_cap": cap, "strategy": strat}
-        cell = (cell_cfg, model, data, spec, schedule, cap, remain_set)
-        rows.append(_run_isolated(row, SWEEP_COLUMNS, *cell))
+    labels = [
+        {"forget_weight": weight, "loss_cap": cap, "strategy": strat}
+        for weight, cap, strat in sweep_grid(config, base_cap)
+    ]
+    cells = [(config.seed, label) for label in labels]
+    rows = run_cells(config, model, data, spec, schedule, cells)
+    rows = _table(SWEEP_COLUMNS, labels, rows)
     return rows, summarize_sweep(config, rows)
 
 
 def summarize_sweep(config: RunConfig, rows):
     """Variance of UA/RA/MMD across the loss_cap axis per (weight, strategy)."""
+    ok = [r for r in rows if r["status"] == "ok"]
     summary = []
     for weight in config.sweep.forget_weights:
         for strat in config.sweep.strategies:
-            cells = [
-                r
-                for r in rows
-                if r["strategy"] == strat
-                and r["forget_weight"] == float(weight)
-                and r["status"] == "ok"
-            ]
-            entry = {
-                "forget_weight": float(weight),
-                "strategy": strat,
-                "n_cells": len(cells),
-            }
+            key = (float(weight), strat)
+            cells = [r for r in ok if (r["forget_weight"], r["strategy"]) == key]
+            entry = {"forget_weight": key[0], "strategy": strat, "n_cells": len(cells)}
             for metric in ("ua", "ra", "mmd"):
                 entry[f"{metric}_variance"] = (
                     float(np.var([c[metric] for c in cells])) if cells else ""
@@ -342,31 +344,22 @@ def run_diversity_ablation(config: RunConfig, model, data: LabeledDataset, spec,
     A failing cell is recorded with its error, as in :func:`run_sweep`, and
     a strategy's deltas are left empty when either of its cells failed.
     """
-    cases = [
-        (case_id, mode, build_remain_set(_with_unlearn(config, diversity=mode), data))
+    labels = [
+        {"case": case_id, "composition": mode, "strategy": strat}
         for case_id, mode in ((1, "similar"), (2, "balanced"))
+        for strat in ABLATION_STRATEGIES
     ]
-    loss_cap = resolve_loss_cap(config, model, data, schedule)
-    rows = []
-    by_key = {}
-    for case_id, composition, remain in cases:
-        present = sorted(set(int(v) for v in remain.labels))
-        for strat in ABLATION_STRATEGIES:
-            cell_cfg = _with_unlearn(config, strategy=strat)
-            row = {
-                "case": case_id,
-                "composition": composition,
-                "remain_classes": "|".join(str(c) for c in present),
-                "strategy": strat,
-            }
-            cell = (cell_cfg, model, data, spec, schedule, loss_cap, remain)
-            rows.append(_run_isolated(row, ABLATION_COLUMNS, *cell))
-            by_key[(case_id, strat)] = row
+    cells = [
+        (config.seed, {"diversity": label["composition"], "strategy": label["strategy"]})
+        for label in labels
+    ]
+    rows = run_cells(config, model, data, spec, schedule, cells)
+    rows = _table(ABLATION_COLUMNS, labels, rows)
+    half = len(ABLATION_STRATEGIES)
     summary = []
-    for strat in ABLATION_STRATEGIES:
-        one, two = by_key[(1, strat)], by_key[(2, strat)]
+    for one, two in zip(rows[:half], rows[half:]):
         both = one["status"] == two["status"] == "ok"
-        entry = {"strategy": strat}
+        entry = {"strategy": one["strategy"]}
         for metric in ("ua", "ra", "mmd"):
             entry[f"case1_{metric}"] = one[metric]
             entry[f"case2_{metric}"] = two[metric]

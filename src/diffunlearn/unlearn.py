@@ -157,10 +157,10 @@ def forgetting_loss(
         untruncated mean of l and truncated_fraction the share of samples at
         or past the cap.
     """
-    if forget_weight < 0.0:
-        raise DomainError("forget_weight must be >= 0")
-    if loss_cap <= 0.0:
-        raise DomainError("loss_cap must be > 0")
+    if not 0.0 <= forget_weight < np.inf:
+        raise DomainError("forget_weight must be finite and >= 0")
+    if not 0.0 < loss_cap < np.inf:
+        raise DomainError("loss_cap must be finite and > 0")
     forget_batch = np.asarray(forget_batch, dtype=np.float64)
     if forget_batch.ndim != 2 or forget_batch.shape[0] == 0:
         raise DomainError("forget_batch must be a nonempty (batch, dim) array")

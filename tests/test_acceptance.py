@@ -244,24 +244,22 @@ def experiment():
     pretrain_seconds = time.perf_counter() - t0
     base_cap = harness.resolve_loss_cap(config, model, data, schedule)
 
-    medians = {}
-    for strat in ("restricted", "graddiff", "finetune"):
-        reports = []
-        for s in RUN_SEEDS:
-            cfg = dataclasses.replace(
-                config,
-                seed=s,
-                unlearn=dataclasses.replace(
-                    config.unlearn, strategy=strat, loss_cap=50.0 * base_cap
-                ),
-            )
-            final, _, _ = harness.unlearn_from_config(cfg, model, data, schedule)
-            reports.append(harness.eval_from_config(cfg, final, spec, schedule))
-        medians[strat] = {
-            "ua": float(np.median([r.ua for r in reports])),
-            "ra": float(np.median([r.ra for r in reports])),
-            "mmd": float(np.median([r.mmd for r in reports])),
+    strategies = ("restricted", "graddiff", "finetune")
+    cells = [
+        (s, {"strategy": strat, "loss_cap": 50.0 * base_cap})
+        for s in RUN_SEEDS
+        for strat in strategies
+    ]
+    rows = harness.run_cells(config, model, data, spec, schedule, cells)
+    assert [row["status"] for row in rows] == ["ok"] * len(cells)
+    # Cells are seed-major, so strategy i's rows are rows[i::len(strategies)].
+    medians = {
+        strat: {
+            metric: float(np.median([row[metric] for row in rows[i::len(strategies)]]))
+            for metric in ("ua", "ra", "mmd")
         }
+        for i, strat in enumerate(strategies)
+    }
 
     cases = {1: {"ra": [], "mmd": []}, 2: {"ra": [], "mmd": []}}
     for s in RUN_SEEDS:

@@ -100,6 +100,12 @@ def test_scalar_type_checked():
             {"sweep": {"forget_weights": [1.0, float("nan")]}},
             r"sweep\.forget_weights\[1\]",
         ),
+
+        ({"sweep": {"forget_weights": [1.0, -1.0]}}, "sweep.*forget_weights"),
+        ({"sweep": {"loss_cap_scales": [-2.0]}}, "sweep.*loss_cap_scales"),
+        ({"sweep": {"loss_cap_scales": [0.0]}}, "sweep.*loss_cap_scales"),
+        ({"sweep": {"loss_caps": [0.0]}}, "sweep.*loss_caps"),
+        ({"sweep": {"loss_caps": [1.0, -0.5]}}, "sweep.*loss_caps"),
     ],
     ids=lambda v: str(v)[:40],
 )

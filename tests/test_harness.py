@@ -115,6 +115,55 @@ def test_tail_mean():
     assert harness._tail_mean([4.0]) == 4.0
 
 
+class TestRunCells:
+    def test_rows_match_a_run_of_each_cell_config(self, tiny_run):
+        config, spec, data, schedule, model = tiny_run
+        similar = {"diversity": "similar", "strategy": "graddiff"}
+        cells = [(3, {}), (11, {}), (11, similar)]
+        rows = harness.run_cells(config, model, data, spec, schedule, cells)
+        assert rows[0]["ua"] != rows[1]["ua"] or rows[0]["mmd"] != rows[1]["mmd"]
+        for (seed, changes), row in zip(cells, rows):
+            unlearn = dataclasses.replace(config.unlearn, **changes)
+            cfg = dataclasses.replace(config, seed=seed, unlearn=unlearn)
+            final, reports, _ = harness.unlearn_from_config(cfg, model, data, schedule)
+            report = harness.eval_from_config(cfg, final, spec, schedule)
+            classes = harness.build_remain_set(cfg, data).class_counts()
+            assert row == {
+                "status": "ok",
+                "error": "",
+                "remain_classes": "|".join(str(c) for c in sorted(classes)),
+                "ua": report.ua,
+                "ra": report.ra,
+                "mmd": report.mmd,
+                "final_loss_r": harness._tail_mean([r.loss_r for r in reports]),
+                "final_raw_forget_mse": harness._tail_mean(
+                    [r.raw_forget_mse for r in reports]
+                ),
+                "conflicted_fraction": float(np.mean([r.conflicted for r in reports])),
+            }
+        assert rows[2]["remain_classes"].count("|") == 1
+
+    def test_rejected_change_is_a_failed_row(self, tiny_run):
+        config, spec, data, schedule, model = tiny_run
+        good = [(3, {}), (3, {"strategy": "graddiff"})]
+        cells = [good[0], (3, {"step_size": -1.0}), (3, {"bogus": 1}), good[1]]
+        rows = harness.run_cells(config, model, data, spec, schedule, cells)
+        assert [r["status"] for r in rows] == ["ok", "failed", "failed", "ok"]
+        assert rows[1]["error"].startswith("DomainError: step_size")
+        assert rows[2]["error"].startswith("TypeError")
+        for row in rows[1:3]:
+            assert set(row) == set(harness.CELL_COLUMNS)
+            assert all(v == "" for k, v in row.items() if k not in ("status", "error"))
+        alone = harness.run_cells(config, model, data, spec, schedule, good)
+        assert [rows[0], rows[3]] == alone
+
+    def test_undrawable_remain_set_stops_the_grid(self, tiny_run):
+        config, spec, data, schedule, model = tiny_run
+        cells = [(3, {"diversity": "similar", "k_nearest": 5})]
+        with pytest.raises(ConfigError, match="k_nearest"):
+            harness.run_cells(config, model, data, spec, schedule, cells)
+
+
 class TestSweep:
     def test_grid_order_and_size(self, tiny_run):
         config, *_ = tiny_run

@@ -193,6 +193,26 @@ class TestForgettingLoss:
                 sched, 1.0, 1.0, np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize(
+        "forget_weight, loss_cap, field",
+        [
+            (-0.1, 1.0, "forget_weight"),
+            (np.nan, 1.0, "forget_weight"),
+            (np.inf, 1.0, "forget_weight"),
+            (1.0, 0.0, "loss_cap"),
+            (1.0, np.nan, "loss_cap"),
+            (1.0, np.inf, "loss_cap"),
+        ],
+    )
+    def test_bad_weight_or_cap_rejected(self, forget_weight, loss_cap, field):
+        # UnlearnConfig's bounds: NaN and inf raise instead of scoring.
+        with pytest.raises(DomainError, match=field):
+            forgetting_loss(
+                zero_model(), np.zeros((3, 2)), np.zeros(3, dtype=int),
+                NoiseSchedule(4, 0.1, 0.4), forget_weight, loss_cap,
+                np.random.default_rng(0),
+            )
+
 
 class TestUnlearnStep:
     def setup_batches(self, toy3):

@@ -536,35 +536,53 @@ def test_module_invocation(tmp_path, cfg_path):
     assert "wrote" in result.stdout
 
 
+_SCIPY_PACKAGES = (
+    "scipy.spatial",
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy.special",
+    "scipy.spatial._distance_pybind",
+)
+
 _LAZY_SCIPY_SCRIPT = """
 import json, sys
 from diffunlearn import cli, harness
-seen = [("import", None, "scipy.spatial" in sys.modules)]
+names = sys.argv[2:]
+seen = [("import", None, [name in sys.modules for name in names])]
 tiny = ["--out", sys.argv[1], "--set", "pretrain.steps=5",
         "--set", "unlearn.iterations=3", "--set", "eval.n_per_condition=10"]
 for command in ("gen-data", "train", "unlearn", "gen-prompts", "eval"):
     rc = cli.main([command, *tiny])
-    seen.append((command, rc, "scipy.spatial" in sys.modules))
+    seen.append((command, rc, [name in sys.modules for name in names]))
 print(json.dumps(seen))
 """
 
 
-def test_only_evaluating_commands_load_scipy_spatial(tmp_path):
-    # A fresh process: the test process has scipy loaded already. Only the
-    # distance computations import scipy.spatial.distance, and only eval of
-    # these five commands computes a distance.
+def test_only_eval_loads_distance_kernels_and_no_command_loads_scipy_spatial(tmp_path):
+    # A fresh process: the test process has scipy loaded already. Per
+    # command, which of _SCIPY_PACKAGES are in sys.modules: evaluation loads
+    # scipy's compiled distance module by itself, so no command loads the
+    # scipy.spatial package or the linalg, sparse and special packages it
+    # would bring, and only eval of these five commands computes a distance.
     result = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY_SCRIPT, str(tmp_path / "runs")],
+        [
+            sys.executable,
+            "-c",
+            _LAZY_SCIPY_SCRIPT,
+            str(tmp_path / "runs"),
+            *_SCIPY_PACKAGES,
+        ],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout.strip().splitlines()[-1])
+    none = [False] * 5
     assert seen == [
-        ["import", None, False],
-        ["gen-data", 0, False],
-        ["train", 0, False],
-        ["unlearn", 0, False],
-        ["gen-prompts", 0, False],
-        ["eval", 0, True],
+        ["import", None, none],
+        ["gen-data", 0, none],
+        ["train", 0, none],
+        ["unlearn", 0, none],
+        ["gen-prompts", 0, none],
+        ["eval", 0, [False, False, False, False, True]],
     ]

@@ -1,9 +1,13 @@
 """Tests for oracle classification, UA/RA, and the kernel two-sample metric."""
 
+import importlib.util
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import distance
 
 from diffunlearn import diffusion
 from diffunlearn import evaluate as evaluate_mod
@@ -105,6 +109,98 @@ class TestOracleClassify:
     def test_eval_config_rejects_bad_bandwidth(self, bandwidth):
         with pytest.raises(DomainError):
             EvalConfig(bandwidth=bandwidth)
+
+
+_IMPORT_ORDER_SCRIPT = """
+import json, sys
+from diffunlearn import evaluate
+
+def evaluate_first():
+    kernels = evaluate._kernels()
+    seen = ["scipy.spatial" in sys.modules, evaluate._KERNELS in sys.modules]
+    from scipy.spatial import distance
+    return seen, kernels, distance
+
+def scipy_first():
+    from scipy.spatial import distance
+    return [True, True], evaluate._kernels(), distance
+
+seen, kernels, distance = {"evaluate": evaluate_first, "scipy": scipy_first}[sys.argv[1]]()
+print(json.dumps([
+    seen,
+    kernels is distance._distance_pybind,
+    kernels is sys.modules[evaluate._KERNELS],
+    distance.cdist([[0.0, 0.0]], [[3.0, 4.0]]).tolist(),
+]))
+"""
+
+
+def _distance_cases():
+    rng = np.random.default_rng(17)
+    x, y = 4.0 * rng.standard_normal((40, 3)), rng.standard_normal((25, 3))
+    odd = x[:6].copy()
+    odd[0, 0], odd[1, 1], odd[2, 2] = np.nan, np.inf, -np.inf
+    odd[3] = [np.inf, -np.inf, np.nan]
+    wide = rng.standard_normal((30, 7))
+    return {
+        "random": (x, y),
+        "non-finite": (odd, np.concatenate([y[:4], odd[2:5]])),
+        # Strided views, contiguous in neither order.
+        "column-view": (wide[:, ::2], wide[::3, 3:]),
+    }
+
+
+class TestDistanceKernels:
+    """evaluate._kernels() is scipy's compiled distance module: its functions
+    give scipy.spatial.distance's bits, and one module object serves both
+    whichever is imported first."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean"])
+    @pytest.mark.parametrize("case", list(_distance_cases()))
+    def test_bits_equal_scipy_distance(self, metric, case):
+        x, y = _distance_cases()[case]
+        kernels = evaluate_mod._kernels()
+        ours = getattr(kernels, f"cdist_{metric}")(x, y)
+        assert ours.tobytes() == distance.cdist(x, y, metric).tobytes()
+        for points in (x, y):
+            ours = getattr(kernels, f"pdist_{metric}")(points)
+            assert ours.tobytes() == distance.pdist(points, metric).tobytes()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean"])
+    def test_bad_shapes_raise_value_error(self, metric):
+        kernels = evaluate_mod._kernels()
+        cdist = getattr(kernels, f"cdist_{metric}")
+        pdist = getattr(kernels, f"pdist_{metric}")
+        with pytest.raises(ValueError):
+            cdist(np.zeros(3), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            cdist(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            pdist(np.zeros(3))
+
+    @pytest.mark.parametrize("first", ["evaluate", "scipy"])
+    def test_one_module_whichever_import_comes_first(self, first):
+        # A fresh process: this one has loaded scipy.spatial already.
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_ORDER_SCRIPT, first],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        seen, same_as_scipy, registered, cdist = json.loads(
+            result.stdout.strip().splitlines()[-1]
+        )
+        # Before scipy.spatial: whether it was loaded, and whether the kernel
+        # module was registered under its own name.
+        assert seen == [first == "scipy", True]
+        assert same_as_scipy and registered
+        assert cdist == [[5.0]]
+
+    def test_missing_module_raises_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, evaluate_mod._KERNELS)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"_distance_pybind not found in scipy \d"):
+            evaluate_mod._kernels()
 
 
 class TestAccuracies:

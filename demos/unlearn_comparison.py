@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from diffunlearn.data import balanced_remaining_set, circle_mixture, gen_mixture
+from diffunlearn.data import circle_mixture, gen_mixture, remain_set
 from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.evaluate import EvalConfig, full_eval
 from diffunlearn.nn import init_model
@@ -68,11 +68,11 @@ def main():
           f"mmd={before.mmd:+.5f}")
 
     forget_set = data.class_subset(FORGET)
-    remain_set = balanced_remaining_set(data, FORGET, per_class=50, rng=args.seed + 4)
+    remain = remain_set(data, FORGET, spec.num_classes - 1, 50, args.seed + 4)
     cap = 50.0 * derive_loss_cap(model, data.drop_class(FORGET), schedule,
                                  args.seed + 5)
     print(f"loss cap alpha = {cap:.3f} (50x the 90th-percentile remain loss), "
-          f"|D_f| = {len(forget_set)}, |D_r| = {len(remain_set)}\n")
+          f"|D_f| = {len(forget_set)}, |D_r| = {len(remain)}\n")
 
     print("strategy     ua      ra      mmd        conflicted  seconds")
     for strategy in ("finetune", "graddiff", "restricted"):
@@ -82,7 +82,7 @@ def main():
             seed=args.seed + 6,
         )
         t0 = time.time()
-        unlearned, reports = unlearn_run(model, forget_set, remain_set,
+        unlearned, reports = unlearn_run(model, forget_set, remain,
                                          schedule, config)
         seconds = time.time() - t0
         after = full_eval(unlearned, FORGET, spec, schedule, eval_cfg, args.seed + 3)

@@ -27,8 +27,6 @@ CHECKPOINT_VERSION = 2
 def checkpoint_dict(
     model: NoisePredictor,
     schedule: NoiseSchedule,
-    beta_min: float,
-    beta_max: float,
     config_hash: str = "",
     seed: int = 0,
     iterations: int = 0,
@@ -47,8 +45,8 @@ def checkpoint_dict(
         },
         "schedule": {
             "num_timesteps": schedule.num_timesteps,
-            "beta_min": float(beta_min),
-            "beta_max": float(beta_max),
+            "beta_min": float(schedule.beta_min),
+            "beta_max": float(schedule.beta_max),
         },
         "params": base64.b64encode(model.params.astype("<f8").tobytes()).decode(),
         "provenance": {
@@ -60,7 +58,13 @@ def checkpoint_dict(
 
 
 def save_checkpoint(path, model, schedule, beta_min, beta_max, **provenance) -> None:
-    doc = checkpoint_dict(model, schedule, beta_min, beta_max, **provenance)
+    """Write model and schedule; beta_min and beta_max must be the schedule's."""
+    if (beta_min, beta_max) != (schedule.beta_min, schedule.beta_max):
+        raise ValueError(
+            f"beta_min {beta_min} and beta_max {beta_max} differ from the "
+            f"schedule's {schedule.beta_min} and {schedule.beta_max}"
+        )
+    doc = checkpoint_dict(model, schedule, **provenance)
     artifacts.write_json(path, doc, indent=1)
 
 
@@ -68,9 +72,10 @@ def load_checkpoint(path):
     """Load a checkpoint file, version 1 or 2.
 
     Returns (model, schedule, provenance dict). Unknown versions, params
-    that do not decode, non-finite parameters, parameter vectors that do not
-    match the declared architecture and schedules longer than the timestep
-    table are rejected with an error naming the file, not guessed at.
+    that do not decode, non-finite parameters, fields of the wrong type,
+    parameter vectors that do not match the declared architecture and
+    schedules longer than the timestep table are rejected with an error
+    naming the file, not guessed at.
     """
     path = Path(path)
     if not path.exists():
@@ -115,7 +120,7 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"checkpoint {path} architecture is missing {exc}"
         ) from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     sched = doc["schedule"]
     try:
@@ -124,7 +129,7 @@ def load_checkpoint(path):
         )
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} schedule is missing {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     if schedule.num_timesteps > model.num_timesteps:
         raise CheckpointError(

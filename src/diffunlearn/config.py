@@ -265,7 +265,11 @@ def load_config_dict(path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is unreadable: {exc}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 

@@ -1,10 +1,9 @@
 """Synthetic mixtures and forgetting/remaining set construction.
 
 The toy data distribution is an isotropic Gaussian mixture with one component
-per class. Remaining sets are built two ways: balanced (equal counts from
-every retained class) and similarity-restricted (only the classes whose means
-sit closest to the forgotten class), the latter standing in for
-feature-space class similarity.
+per class. A remaining set draws equal counts from the retained classes whose
+means sit closest to the forgotten class, standing in for feature-space class
+similarity; drawn from every retained class, it is class-balanced.
 """
 
 from __future__ import annotations
@@ -147,81 +146,40 @@ def gen_mixture(spec: MixtureSpec, rng) -> LabeledDataset:
     return LabeledDataset(points=points, labels=labels)
 
 
-def _draw_per_class(
-    data: LabeledDataset, classes, per_class: int, gen: np.random.Generator
+def remain_set(
+    data: LabeledDataset, forget_class: int, k_nearest: int, per_class: int, rng
 ) -> LabeledDataset:
-    """Sample per_class points without replacement from each listed class."""
-    picked = []
-    for k in classes:
-        pool = np.flatnonzero(data.labels == k)
-        if pool.size < per_class:
-            raise DomainError(
-                f"class {k} has {pool.size} samples, need {per_class}"
-            )
-        picked.append(gen.choice(pool, size=per_class, replace=False))
-    return data.subset(np.concatenate(picked))
+    """Draw per_class points from each of the k_nearest retained classes.
 
-
-def balanced_remaining_set(
-    data: LabeledDataset, forget_class: int, per_class: int, rng
-) -> LabeledDataset:
-    """Equal-sized draw from every class except the forgotten one.
-
-    Returns per_class samples from each retained class in ascending class
-    order and none from forget_class.
-    """
-    if per_class < 1:
-        raise DomainError("per_class must be at least 1")
-    classes = sorted(k for k in data.class_counts() if k != forget_class)
-    if not classes:
-        raise DomainError("no retained classes to sample from")
-    gen, _ = as_generator(rng)
-    return _draw_per_class(data, classes, per_class, gen)
-
-
-def nearest_retained_classes(
-    data: LabeledDataset, forget_class: int, k_nearest: int
-) -> list[int]:
-    """Retained classes ranked by distance between class means.
-
-    Distance ties break toward the lower class index (sort is stable over
-    ascending class order).
+    Retained classes rank by the distance between their mean and the
+    forgotten class mean, ties going to the lower class index; the first
+    k_nearest are kept. Each kept class then gives per_class points without
+    replacement, in ascending class order, from one generator, so
+    k_nearest = every retained class is the class-balanced set.
     """
     counts = data.class_counts()
     if forget_class not in counts:
         raise DomainError(f"class {forget_class} absent from dataset")
     retained = sorted(k for k in counts if k != forget_class)
     if k_nearest < 1 or k_nearest > len(retained):
-        raise DomainError(
-            f"k_nearest must lie in 1..{len(retained)}"
-        )
+        raise DomainError(f"k_nearest must lie in 1..{len(retained)}")
+    if per_class < 1:
+        raise DomainError("per_class must be at least 1")
     target_mean = data.class_subset(forget_class).points.mean(axis=0)
     dists = [
         float(np.linalg.norm(data.class_subset(k).points.mean(axis=0) - target_mean))
         for k in retained
     ]
-    order = sorted(range(len(retained)), key=lambda i: (dists[i], retained[i]))
-    return [retained[i] for i in order[:k_nearest]]
-
-
-def similarity_restricted_set(
-    data: LabeledDataset, forget_class: int, k_nearest: int, total: int, rng
-) -> LabeledDataset:
-    """Draw only from the classes nearest to the forgotten one.
-
-    Returns total samples split equally across the k_nearest retained classes
-    whose means lie closest to the forgotten class mean. Sized to match a
-    balanced set so the two constructions compare fairly.
-    """
-    if total < 1:
-        raise DomainError("total must be at least 1")
-    if total % k_nearest != 0:
-        raise DomainError(
-            f"total {total} not divisible by k_nearest {k_nearest}"
-        )
-    classes = nearest_retained_classes(data, forget_class, k_nearest)
+    # A stable sort over ascending class order breaks ties to the lower index.
+    order = sorted(range(len(retained)), key=lambda i: dists[i])
     gen, _ = as_generator(rng)
-    return _draw_per_class(data, sorted(classes), total // k_nearest, gen)
+    picked = []
+    for k in sorted(retained[i] for i in order[:k_nearest]):
+        pool = np.flatnonzero(data.labels == k)
+        if pool.size < per_class:
+            raise DomainError(f"class {k} has {pool.size} samples, need {per_class}")
+        picked.append(gen.choice(pool, size=per_class, replace=False))
+    return data.subset(np.concatenate(picked))
 
 
 def save_dataset(data: LabeledDataset, path) -> None:

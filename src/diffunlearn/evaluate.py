@@ -26,7 +26,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,14 +89,7 @@ class EvalReport:
     seed: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "ua": self.ua,
-            "ra": self.ra,
-            "mmd": self.mmd,
-            "per_class_counts": dict(self.per_class_counts),
-            "n_samples_per_condition": self.n_samples_per_condition,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _KERNELS = "scipy.spatial._distance_pybind"

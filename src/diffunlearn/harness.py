@@ -24,12 +24,7 @@ from .config import (
     RunConfig,
     stage_seed,
 )
-from .data import (
-    LabeledDataset,
-    balanced_remaining_set,
-    gen_mixture,
-    similarity_restricted_set,
-)
+from .data import LabeledDataset, gen_mixture, remain_set
 from .errors import ConfigError
 from .evaluate import EvalReport, full_eval
 from .nn import init_model
@@ -169,20 +164,17 @@ def build_remain_set(config: RunConfig, data: LabeledDataset) -> LabeledDataset:
     """
     section = config.unlearn
     retained = config.mixture.num_classes - 1
+    k = retained if section.diversity == "balanced" else section.k_nearest
     total = section.remain_per_class * retained
-    per_class = section.remain_per_class
-    if section.diversity == "similar":
-        if section.k_nearest > retained:
-            raise ConfigError(
-                f"unlearn.k_nearest {section.k_nearest} exceeds the {retained} "
-                "retained classes"
-            )
-        if total % section.k_nearest != 0:
-            raise ConfigError(
-                f"remain set size {total} is not divisible by unlearn.k_nearest "
-                f"{section.k_nearest}"
-            )
-        per_class = total // section.k_nearest
+    if k > retained:
+        raise ConfigError(
+            f"unlearn.k_nearest {k} exceeds the {retained} retained classes"
+        )
+    if total % k != 0:
+        raise ConfigError(
+            f"remain set size {total} is not divisible by unlearn.k_nearest {k}"
+        )
+    per_class = total // k
     if per_class > config.mixture.samples_per_class:
         raise ConfigError(
             f"unlearn.remain_per_class {section.remain_per_class} draws {per_class} "
@@ -190,11 +182,7 @@ def build_remain_set(config: RunConfig, data: LabeledDataset) -> LabeledDataset:
             f"{config.mixture.samples_per_class}"
         )
     rng = stage_seed(config.seed, STAGE_UNLEARN, 0)
-    if section.diversity == "balanced":
-        return balanced_remaining_set(data, config.forget_class, per_class, rng)
-    return similarity_restricted_set(
-        data, config.forget_class, section.k_nearest, total, rng
-    )
+    return remain_set(data, config.forget_class, k, per_class, rng)
 
 
 def unlearn_from_config(

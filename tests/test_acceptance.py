@@ -25,7 +25,7 @@ from diffunlearn import harness
 from diffunlearn.checkpoint import load_checkpoint, save_checkpoint
 from diffunlearn.cli import main
 from diffunlearn.config import config_from_dict, default_config_dict
-from diffunlearn.data import balanced_remaining_set, similarity_restricted_set
+from diffunlearn.data import remain_set
 from diffunlearn.nn import init_model, squared_error_backward
 from diffunlearn.projection import project_away, restricted_gradient
 from diffunlearn.prompts import PromptTemplateSpec, gen_prompt_pairs, render_pair
@@ -323,12 +323,14 @@ def test_restricted_beats_baselines_on_circle_mixture(experiment):
 )
 def test_balanced_remain_set_beats_similar_only(experiment):
     cfg = experiment.config
-    total = cfg.unlearn.remain_per_class * (cfg.mixture.num_classes - 1)
-    similar = similarity_restricted_set(
-        experiment.data, cfg.forget_class, cfg.unlearn.k_nearest, total, 7
+    retained = cfg.mixture.num_classes - 1
+    k_nearest = cfg.unlearn.k_nearest
+    total = cfg.unlearn.remain_per_class * retained
+    similar = remain_set(
+        experiment.data, cfg.forget_class, k_nearest, total // k_nearest, 7
     )
-    balanced = balanced_remaining_set(
-        experiment.data, cfg.forget_class, cfg.unlearn.remain_per_class, 7
+    balanced = remain_set(
+        experiment.data, cfg.forget_class, retained, cfg.unlearn.remain_per_class, 7
     )
     assert similar.points.shape[0] == balanced.points.shape[0]
 

@@ -81,7 +81,7 @@ def _blob(values) -> str:
 def _v1_doc(model, schedule, **provenance):
     """A version-1 document as earlier releases wrote it: params as a list
     of shortest round-trip decimals."""
-    doc = checkpoint_dict(model, schedule, 1e-4, 0.1, **provenance)
+    doc = checkpoint_dict(model, schedule, **provenance)
     doc["version"] = 1
     doc["params"] = [float(p) for p in model.params]
     return doc
@@ -161,6 +161,39 @@ def test_bad_params_rejected_naming_file(tmp_path, small_model, schedule, case):
     _edited(path, params=BAD_PARAMS[case](small_model.params))
     with pytest.raises(CheckpointError, match="ck.json"):
         load_checkpoint(path)
+
+
+# Fields of the wrong type, each as (section, field or None, value).
+MALFORMED_FIELDS = {
+    "architecture-list": ("architecture", None, []),
+    "hidden-dims-number": ("architecture", "hidden_dims", 5),
+    "input-dim-string": ("architecture", "input_dim", "2"),
+    "schedule-list": ("schedule", None, []),
+    "num-timesteps-string": ("schedule", "num_timesteps", "4"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FIELDS)
+def test_malformed_field_rejected_naming_file(tmp_path, small_model, schedule, case):
+    section, field, value = MALFORMED_FIELDS[case]
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
+    doc = json.loads(path.read_text())
+    if field is None:
+        doc[section] = value
+    else:
+        doc[section][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="ck.json"):
+        load_checkpoint(path)
+
+
+def test_betas_differing_from_schedule_rejected(tmp_path, small_model):
+    # The file would otherwise hold betas the model was never run with.
+    path = tmp_path / "ck.json"
+    with pytest.raises(ValueError, match="differ from the schedule"):
+        save_checkpoint(path, small_model, NoiseSchedule(8, 1e-4, 0.1), 0.2, 0.3)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_version_rejected(tmp_path, small_model, schedule):

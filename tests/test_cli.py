@@ -333,6 +333,18 @@ class TestExitCodes:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"seed": "\xff"}')
+        rc = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_override_is_usage_error(self, cfg_path, tmp_path, capsys):
         rc = main(
             [

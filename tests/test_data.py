@@ -8,13 +8,11 @@ import pytest
 from diffunlearn.data import (
     LabeledDataset,
     MixtureSpec,
-    balanced_remaining_set,
     circle_mixture,
     gen_mixture,
     load_dataset,
-    nearest_retained_classes,
+    remain_set,
     save_dataset,
-    similarity_restricted_set,
 )
 from diffunlearn.errors import DomainError, ShapeError
 
@@ -119,46 +117,59 @@ class TestGenMixture:
         assert data.class_counts() == {k: 10 for k in range(5)}
 
 
+def ten_class_data():
+    angles = np.linspace(0.0, 2 * np.pi, 10, endpoint=False)
+    means = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return gen_mixture(MixtureSpec(10, means, 0.3, 80), 4)
+
+
 class TestBalancedRemainingSet:
-    def ten_class_data(self):
-        angles = np.linspace(0.0, 2 * np.pi, 10, endpoint=False)
-        means = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        spec = MixtureSpec(10, means, 0.3, 80)
-        return gen_mixture(spec, 4)
+    """remain_set at k_nearest = every retained class."""
 
     def test_ten_class_total_count(self):
-        remain = balanced_remaining_set(self.ten_class_data(), 3, 50, 0)
+        remain = remain_set(ten_class_data(), 3, 9, 50, 0)
         assert len(remain) == 450
 
     def test_histogram_uniform_and_pure(self):
-        remain = balanced_remaining_set(self.ten_class_data(), 3, 50, 0)
+        remain = remain_set(ten_class_data(), 3, 9, 50, 0)
         counts = remain.class_counts()
         assert 3 not in counts
         assert counts == {k: 50 for k in range(10) if k != 3}
 
     def test_zero_per_class_rejected(self):
         with pytest.raises(DomainError):
-            balanced_remaining_set(self.ten_class_data(), 3, 0, 0)
+            remain_set(ten_class_data(), 3, 9, 0, 0)
 
     def test_insufficient_samples_rejected(self):
         with pytest.raises(DomainError):
-            balanced_remaining_set(self.ten_class_data(), 3, 81, 0)
+            remain_set(ten_class_data(), 3, 9, 81, 0)
 
     def test_deterministic_per_seed(self):
-        data = self.ten_class_data()
-        a = balanced_remaining_set(data, 3, 20, 7)
-        b = balanced_remaining_set(data, 3, 20, 7)
+        data = ten_class_data()
+        a = remain_set(data, 3, 9, 20, 7)
+        b = remain_set(data, 3, 9, 20, 7)
         assert np.array_equal(a.points, b.points)
 
 
 class TestSimilarityRestrictedSet:
+    """remain_set below every retained class: the nearest classes only."""
+
+    @pytest.mark.parametrize("k_nearest", [0, 5])
+    def test_k_nearest_outside_retained_rejected(self, k_nearest):
+        with pytest.raises(DomainError, match="k_nearest"):
+            remain_set(line_dataset([0, 1, 2, 3, 4]), 0, k_nearest, 5, 0)
+
+    def test_absent_forget_class_rejected(self):
+        with pytest.raises(DomainError, match="absent"):
+            remain_set(line_dataset([0, 1, 2, 3, 4]), 5, 2, 5, 0)
+
     def test_line_geometry_picks_adjacent_classes(self):
         data = line_dataset([0, 1, 2, 3, 4])
-        assert nearest_retained_classes(data, 0, 2) == [1, 2]
+        assert list(remain_set(data, 0, 2, 1, 0).labels) == [1, 2]
 
     def test_circle_geometry_picks_angular_neighbors(self):
         data = gen_mixture(circle_mixture(samples_per_class=200), 11)
-        assert sorted(nearest_retained_classes(data, 0, 2)) == [1, 4]
+        assert list(remain_set(data, 0, 2, 1, 0).labels) == [1, 4]
 
     def test_exact_tie_breaks_to_lower_index(self):
         # Classes 0 and 1 sit at mirror positions, exactly equidistant from
@@ -168,36 +179,57 @@ class TestSimilarityRestrictedSet:
         )
         labels = np.array([0] * 5 + [1] * 5 + [2] * 5)
         data = LabeledDataset(points, labels)
-        assert nearest_retained_classes(data, 2, 1) == [0]
+        assert list(remain_set(data, 2, 1, 1, 0).labels) == [0]
 
     def test_draws_equally_from_selected_classes(self):
         data = line_dataset([0, 1, 2, 3, 4], per_class=30)
-        out = similarity_restricted_set(data, 0, 2, 40, 3)
+        out = remain_set(data, 0, 2, 20, 3)
         assert out.class_counts() == {1: 20, 2: 20}
 
     def test_matches_balanced_size_for_fair_comparison(self):
         data = line_dataset([0, 1, 2, 3, 4], per_class=30)
-        balanced = balanced_remaining_set(data, 0, 10, 0)
-        restricted = similarity_restricted_set(data, 0, 2, len(balanced), 0)
+        balanced = remain_set(data, 0, 4, 10, 0)
+        restricted = remain_set(data, 0, 2, len(balanced) // 2, 0)
         assert len(restricted) == len(balanced)
 
     def test_full_k_matches_balanced_histogram(self):
         data = line_dataset([0, 1, 2, 3, 4], per_class=30)
-        out = similarity_restricted_set(data, 0, 4, 80, 5)
+        out = remain_set(data, 0, 4, 20, 5)
         assert out.class_counts() == {1: 20, 2: 20, 3: 20, 4: 20}
-
-    def test_indivisible_total_rejected(self):
-        data = line_dataset([0, 1, 2])
-        with pytest.raises(DomainError):
-            similarity_restricted_set(data, 0, 2, 31, 0)
 
     def test_never_contains_forget_class(self):
         data = gen_mixture(circle_mixture(samples_per_class=100), 2)
         for forget in range(5):
-            out = similarity_restricted_set(data, forget, 2, 60, 1)
+            out = remain_set(data, forget, 2, 30, 1)
             assert forget not in out.class_counts()
-            bal = balanced_remaining_set(data, forget, 15, 1)
+            bal = remain_set(data, forget, 4, 15, 1)
             assert forget not in bal.class_counts()
+
+
+def reference_remain_set(data, classes, per_class, seed):
+    """The draw spelled out: per_class points per listed class, ascending."""
+    gen = np.random.default_rng(seed)
+    picked = [
+        gen.choice(np.flatnonzero(data.labels == k), size=per_class, replace=False)
+        for k in sorted(classes)
+    ]
+    return data.subset(np.concatenate(picked))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_remain_set_matches_reference_draw(seed):
+    # Ranked from class 3 on a 10-class circle: 2 and 4, then 1 and 5, then
+    # 0 and 6; even k_nearest values stay clear of the mirror-image ties.
+    data = ten_class_data()
+    retained = [k for k in range(10) if k != 3]
+    for k_nearest, classes in (
+        (9, retained), (6, [0, 1, 2, 4, 5, 6]), (2, [2, 4])
+    ):
+        for per_class in (1, 7, 20):
+            out = remain_set(data, 3, k_nearest, per_class, seed)
+            ref = reference_remain_set(data, classes, per_class, seed)
+            assert np.array_equal(out.points, ref.points)
+            assert np.array_equal(out.labels, ref.labels)
 
 
 class TestDatasetIO:

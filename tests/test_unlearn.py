@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffunlearn import unlearn as unlearn_mod
-from diffunlearn.data import LabeledDataset, balanced_remaining_set
+from diffunlearn.data import LabeledDataset, remain_set
 from diffunlearn.diffusion import NoiseSchedule, diffusion_loss
 from diffunlearn.errors import DomainError, ShapeError, TrainingDiverged
 from diffunlearn.nn import (
@@ -330,7 +330,7 @@ class TestUnlearnRun:
         # where it started, and the remain loss on a fixed probe must stay
         # within twice its pre-unlearning value.
         forget = toy3.data.class_subset(0)
-        remain = balanced_remaining_set(toy3.data, 0, 150, 3)
+        remain = remain_set(toy3.data, 0, 2, 150, 3)
         cap = derive_loss_cap(toy3.model, remain, toy3.schedule, 4)
         pre_loss_r, _ = diffusion_loss(
             toy3.model, remain.points, remain.labels, toy3.schedule,
@@ -408,7 +408,7 @@ class TestCheckOnceLoop:
 
     @staticmethod
     def sets(toy3):
-        remain = balanced_remaining_set(toy3.data, 0, 40, 3)
+        remain = remain_set(toy3.data, 0, 2, 40, 3)
         return toy3.data.class_subset(0), remain
 
     @staticmethod

@@ -72,8 +72,9 @@ def load_checkpoint(path):
     """Load a checkpoint file, version 1 or 2.
 
     Returns (model, schedule, provenance dict). Unknown versions, params
-    that do not decode, non-finite parameters, fields of the wrong type,
-    parameter vectors that do not match the declared architecture and
+    that do not decode, non-finite parameters, fields of the wrong type (the
+    sizes must be JSON integers, not floats or booleans, and provenance an
+    object), parameter vectors that do not match the declared architecture and
     schedules longer than the timestep table are rejected with an error
     naming the file, not guessed at.
     """
@@ -81,7 +82,11 @@ def load_checkpoint(path):
     if not path.exists():
         raise CheckpointError(f"checkpoint file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
@@ -106,14 +111,22 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path}: unreadable params: {exc}") from exc
     if not np.isfinite(params).all():
         raise CheckpointError(f"checkpoint {path} holds non-finite parameters")
+
+    def integer(name, value):
+        if type(value) is not int:
+            raise CheckpointError(
+                f"checkpoint {path}: {name} must be an integer, got {value!r}"
+            )
+        return value
+
     try:
         model = NoisePredictor(
-            input_dim=arch["input_dim"],
-            hidden_dims=tuple(arch["hidden_dims"]),
-            num_classes=arch["num_classes"],
-            num_timesteps=arch["num_timesteps"],
-            time_embed_dim=arch["time_embed_dim"],
-            class_embed_dim=arch["class_embed_dim"],
+            input_dim=integer("input_dim", arch["input_dim"]),
+            hidden_dims=tuple(integer("hidden_dims", d) for d in arch["hidden_dims"]),
+            num_classes=integer("num_classes", arch["num_classes"]),
+            num_timesteps=integer("num_timesteps", arch["num_timesteps"]),
+            time_embed_dim=integer("time_embed_dim", arch["time_embed_dim"]),
+            class_embed_dim=integer("class_embed_dim", arch["class_embed_dim"]),
             params=params,
         )
     except KeyError as exc:
@@ -125,7 +138,9 @@ def load_checkpoint(path):
     sched = doc["schedule"]
     try:
         schedule = NoiseSchedule(
-            sched["num_timesteps"], sched["beta_min"], sched["beta_max"]
+            integer("schedule num_timesteps", sched["num_timesteps"]),
+            sched["beta_min"],
+            sched["beta_max"],
         )
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path} schedule is missing {exc}") from exc
@@ -137,4 +152,6 @@ def load_checkpoint(path):
             f"but the timestep table has {model.num_timesteps} rows"
         )
     provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise CheckpointError(f"checkpoint {path}: provenance must be an object")
     return model, schedule, provenance

@@ -144,9 +144,15 @@ def classify_points(points, spec: MixtureSpec, none_threshold: float) -> np.ndar
     return labels
 
 
-# Distances per streamed block: 2**19 float64 values, 4 MiB. Sized by element
-# count, so a block stays the same size whatever the sample count.
-_BLOCK = 1 << 19
+# Distances per streamed block: 2**17 float64 values, 1 MiB, half of a 2 MiB
+# per-core L2 cache, so each pass over a block (scale, exp, sum; or bin, count)
+# reads it from L2. Sized by element count, so a block stays the same size
+# whatever the sample count.
+_BLOCK = 1 << 17
+# The streamed median gathers its window of candidate values once it holds at
+# most this many, 4 MiB; kept apart from _BLOCK so that the number of counting
+# passes does not depend on the block size.
+_GATHER = 1 << 19
 # Each counting pass of the streamed median splits its window of float64 bit
 # patterns into at most 2**_HIST_BITS equal bins.
 _HIST_BITS = 16
@@ -191,7 +197,7 @@ def median_bandwidth(reference) -> float:
 
     The distances stream through _within_blocks in counting passes (see
     _middle_distances). Peak memory is one block of distances plus at most
-    one block of gathered values, whatever the sample count.
+    _GATHER gathered values, whatever the sample count.
     """
     reference = np.asarray(reference, dtype=np.float64)
     if reference.shape[0] < 2:
@@ -215,8 +221,9 @@ def _middle_distances(x):
     search keeps a window of patterns, at first all of them, known to hold
     the middle ranks. Each counting pass splits the window into at most
     2**_HIST_BITS equal bins and keeps the bin holding the middle ranks, so
-    the window only narrows. Once it holds at most one block of values, a
-    last pass gathers them and ``np.partition`` picks the middle ranks. A
+    the window only narrows. Once it holds at most _GATHER values, a last
+    pass gathers them and ``np.partition`` picks the middle ranks, so the
+    passes hold one block of distances plus at most _GATHER values. A
     window of one pattern is a single value, so no gathering pass is needed;
     two middle ranks in different bins are the largest value below the upper
     bin and the smallest in it, which one pass finds.
@@ -230,7 +237,7 @@ def _middle_distances(x):
         return map(fn, _within_blocks(x, "euclidean"))
 
     lo, width, below, inside = 0, 1 << 63, 0, pairs
-    while inside > _BLOCK:
+    while inside > _GATHER:
         shift = max(0, width.bit_length() - 1 - _HIST_BITS)
         nbins = width >> shift
 
@@ -289,7 +296,7 @@ def mmd(a, b, bandwidth: float) -> float:
 
     Each of the three kernel sums (cross, within the first set, within the
     second) streams its squared distances in the blocks of _cross_blocks and
-    _within_blocks, at most _BLOCK values (4 MiB) each. Every block is scaled
+    _within_blocks, at most _BLOCK values (1 MiB) each. Every block is scaled
     and exponentiated in place and reduced by ``np.sum``; the block sums are
     added into a Python float in block order. Peak memory is therefore one
     block whatever the sample count, and no step uses BLAS. A set whose

@@ -170,12 +170,25 @@ MALFORMED_FIELDS = {
     "input-dim-string": ("architecture", "input_dim", "2"),
     "schedule-list": ("schedule", None, []),
     "num-timesteps-string": ("schedule", "num_timesteps", "4"),
+    "provenance-number": ("provenance", None, 5),
+    "provenance-list": ("provenance", None, []),
+}
+# Sizes that are JSON numbers but not integers, rejected as such rather than
+# truncated or caught later by a parameter count.
+NON_INTEGER_FIELDS = {
+    "hidden-dims-floats": ("architecture", "hidden_dims", [6.0, 4.0]),
+    "num-classes-fraction": ("architecture", "num_classes", 2.5),
+    "input-dim-bool": ("architecture", "input_dim", True),
+    "table-rows-float": ("architecture", "num_timesteps", 8.0),
+    "time-embed-dim-float": ("architecture", "time_embed_dim", 4.0),
+    "class-embed-dim-bool": ("architecture", "class_embed_dim", True),
+    "num-timesteps-float": ("schedule", "num_timesteps", 4.0),
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_FIELDS)
+@pytest.mark.parametrize("case", [*MALFORMED_FIELDS, *NON_INTEGER_FIELDS])
 def test_malformed_field_rejected_naming_file(tmp_path, small_model, schedule, case):
-    section, field, value = MALFORMED_FIELDS[case]
+    section, field, value = {**MALFORMED_FIELDS, **NON_INTEGER_FIELDS}[case]
     path = tmp_path / "ck.json"
     save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
     doc = json.loads(path.read_text())
@@ -184,7 +197,8 @@ def test_malformed_field_rejected_naming_file(tmp_path, small_model, schedule, c
     else:
         doc[section][field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="ck.json"):
+    match = "ck.json.*must be an integer" if case in NON_INTEGER_FIELDS else "ck.json"
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
 
@@ -277,6 +291,17 @@ def test_non_finite_params_rejected(tmp_path, small_model, schedule):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="not found"):
         load_checkpoint(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_file_rejected_naming_it(tmp_path, kind):
+    path = tmp_path / "ck.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"version": "\xff"}')
+    with pytest.raises(CheckpointError, match="ck.json.*unreadable"):
+        load_checkpoint(path)
 
 
 def test_invalid_json_rejected(tmp_path):

@@ -482,6 +482,26 @@ class TestExitCodes:
         assert (a / "dataset.jsonl").read_bytes() == (b / "dataset.jsonl").read_bytes()
 
 
+def test_train_bytes_independent_of_blas_threads(tmp_path):
+    # 300 steps at the default width and batch, so any thread-dependent
+    # rounding in a forward or backward gemm would compound into the
+    # checkpoint's bytes.
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-m", "diffunlearn", "train", "--out", str(out),
+             "--set", "pretrain.steps=300"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        checkpoints.append((out / "pretrained.json").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 def test_unlearn_bytes_independent_of_blas_threads(tmp_path):
     # The default width: its ~11k parameters put the update's inner products
     # past OpenBLAS's threading threshold, which the tiny config stays under.
@@ -507,7 +527,8 @@ def test_unlearn_bytes_independent_of_blas_threads(tmp_path):
 
 def test_eval_bytes_independent_of_blas_threads(tmp_path):
     # 300 per condition over the 4 retained classes: the 1200x1200 cross
-    # distances take three blocks and each within-set and the median two.
+    # distances take 12 blocks, each 1200-point within-set 11, and the
+    # median two passes over those 11.
     overrides = ["--set", "pretrain.steps=5", "--set", "eval.n_per_condition=300"]
     runs = []
     for threads in ("1", "2"):

@@ -341,7 +341,8 @@ class TestMmd:
     def test_median_bandwidth_peak_allocation_is_bounded_by_blocks(self, n):
         points = np.random.default_rng(13).standard_normal((n, 2))
         peak = peak_allocation(median_bandwidth, points)
-        assert peak <= 2.5 * BLOCK_BYTES
+        # One block of distances with its histogram, plus the gathered window.
+        assert peak <= 1.5 * BLOCK_BYTES + 8 * evaluate_mod._GATHER
 
     def test_median_bandwidth_needs_spread(self):
         with pytest.raises(DomainError):
@@ -378,8 +379,8 @@ class TestStreamedMmd:
         assert abs(mmd(a, b, bandwidth) - full_matrix_mmd(a, b, bandwidth)) <= 1e-12 * scale
 
     def test_unequal_sizes_both_orders(self):
-        # Cross 1100x800 takes two row blocks, the 1100-point within-set two
-        # blocks, the 800-point within-set one.
+        # Cross 1100x800 takes seven row blocks, the 1100-point within-set
+        # five and the 800-point within-set three.
         g = np.random.default_rng(16)
         a = g.standard_normal((1100, 2))
         b = 0.5 + g.standard_normal((800, 2))
@@ -421,8 +422,10 @@ class TestStreamedMmd:
 class TestStreamedMedian:
     """median_bandwidth is np.median(pdist(x)) exactly, over several blocks.
 
-    At the real block size (2**19 values) a set needs 1025 points or more to
-    take more than one block.
+    At the real block size (2**17 values) a set of 513 points or more takes
+    more than one block. The number of passes depends on the gather window
+    (2**19 values) alone: a set needs 1025 points or more to take more than
+    one pass.
     """
 
     @staticmethod
@@ -448,6 +451,16 @@ class TestStreamedMedian:
         assert value == copied_median_bandwidth(points)
         assert passes == (1 if m < 1025 else 2)
 
+    def test_passes_independent_of_block_size(self, monkeypatch):
+        # With 64 values a block the distances stream in 9,701 blocks,
+        # but the window is gathered at the same size, so 1026 points take
+        # the two passes they take at the real block.
+        monkeypatch.setattr(evaluate_mod, "_BLOCK", 64)
+        points = np.random.default_rng(1026).standard_normal((1026, 2))
+        value, passes = self.passes(monkeypatch, points)
+        assert value == copied_median_bandwidth(points)
+        assert passes == 2
+
     def test_repeated_points(self, monkeypatch):
         points = np.repeat(np.random.default_rng(20).standard_normal((250, 2)), 8, axis=0)
         value, _ = self.passes(monkeypatch, points)
@@ -455,8 +468,8 @@ class TestStreamedMedian:
 
     def test_middle_value_held_by_more_than_a_block(self, monkeypatch):
         # Two groups of 750 on a line: 562,500 pairs at distance 1, more than
-        # a block, hold both middle ranks. The window narrows to that one
-        # value, which is the answer without a gathering pass.
+        # the gather window, hold both middle ranks. The window narrows to
+        # that one value, which is the answer without a gathering pass.
         points = np.zeros((1500, 1))
         points[750:] = 1.0
         value, passes = self.passes(monkeypatch, points)
@@ -472,10 +485,10 @@ class TestStreamedMedian:
         assert value == copied_median_bandwidth(points) == 0.5
 
     def test_clustered_distances_take_narrowing_passes(self, monkeypatch):
-        # Two jittered groups: the 562,500 cross distances, more than a
-        # block, all lie within 1e-9 of 1.3, so the first bin holding the
-        # middle ranks is too full to gather and further counting passes
-        # narrow it. (1 and 1.5 would sit on a first-pass bin edge and split.)
+        # Two jittered groups: the 562,500 cross distances, more than the
+        # gather window, all lie within 1e-9 of 1.3, so the first bin
+        # holding the middle ranks is too full to gather and further
+        # counting passes narrow it. (1 and 1.5 would sit on a first-pass bin edge and split.)
         g = np.random.default_rng(21)
         points = np.zeros((1500, 1))
         points[750:] = 1.3
@@ -490,7 +503,9 @@ class TestStreamedMedian:
 
     @pytest.mark.parametrize("m", [13, 50, 66, 121])
     def test_small_blocks(self, monkeypatch, m):
+        # A gather window as small as the block forces narrowing passes.
         monkeypatch.setattr(evaluate_mod, "_BLOCK", 64)
+        monkeypatch.setattr(evaluate_mod, "_GATHER", 64)
         g = np.random.default_rng(m)
         points = g.standard_normal((m, 2))
         assert median_bandwidth(points) == copied_median_bandwidth(points)

@@ -40,8 +40,8 @@ def checkpoint_dict(
             "hidden_dims": list(model.hidden_dims),
             "num_classes": model.num_classes,
             "num_timesteps": model.num_timesteps,
-            "time_embed_dim": model.time_embed_dim,
-            "class_embed_dim": model.class_embed_dim,
+            "time_embed_dim": model.hidden_dims[0],
+            "class_embed_dim": model.hidden_dims[0],
         },
         "schedule": {
             "num_timesteps": schedule.num_timesteps,
@@ -74,9 +74,10 @@ def load_checkpoint(path):
     Returns (model, schedule, provenance dict). Unknown versions, params
     that do not decode, non-finite parameters, fields of the wrong type (the
     sizes must be JSON integers, not floats or booleans, and provenance an
-    object), parameter vectors that do not match the declared architecture and
-    schedules longer than the timestep table are rejected with an error
-    naming the file, not guessed at.
+    object), embedding widths other than the first hidden width, parameter
+    vectors that do not match the declared architecture and schedules longer
+    than the timestep table are rejected with an error naming the file, not
+    guessed at.
     """
     path = Path(path)
     if not path.exists():
@@ -125,10 +126,15 @@ def load_checkpoint(path):
             hidden_dims=tuple(integer("hidden_dims", d) for d in arch["hidden_dims"]),
             num_classes=integer("num_classes", arch["num_classes"]),
             num_timesteps=integer("num_timesteps", arch["num_timesteps"]),
-            time_embed_dim=integer("time_embed_dim", arch["time_embed_dim"]),
-            class_embed_dim=integer("class_embed_dim", arch["class_embed_dim"]),
             params=params,
         )
+        # Embedding rows are added to the first pre-activation.
+        for name in ("time_embed_dim", "class_embed_dim"):
+            if integer(name, arch[name]) != model.hidden_dims[0]:
+                raise ValueError(
+                    f"{name} {arch[name]} differs from the first hidden width "
+                    f"{model.hidden_dims[0]}"
+                )
     except KeyError as exc:
         raise CheckpointError(
             f"checkpoint {path} architecture is missing {exc}"

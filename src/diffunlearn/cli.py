@@ -93,24 +93,21 @@ def build_parser() -> _Parser:
 def resolve_config(args):
     """Config file (or defaults) + --set overrides + dedicated flags.
 
-    Dedicated flags win over --set; both win over the file. Returns the raw
-    resolved dict alongside the validated view so callers can hash exactly
-    what ran.
+    The flags are applied as the last overrides, so they win over --set;
+    both win over the file. Returns the raw resolved dict alongside the
+    validated view so callers can hash exactly what ran.
     """
     if args.config is not None:
         raw = load_config_dict(args.config)
     else:
         raw = default_config_dict()
-    raw = apply_overrides(raw, args.overrides)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "forget_class", None) is not None:
-        raw["forget_class"] = args.forget_class
-    if getattr(args, "strategy", None) is not None:
-        raw.setdefault("unlearn", {})
-        if not isinstance(raw["unlearn"], dict):
-            raise ConfigError("section 'unlearn' must be an object")
-        raw["unlearn"]["strategy"] = args.strategy
+    flags = {
+        "seed": args.seed,
+        "forget_class": getattr(args, "forget_class", None),
+        "unlearn.strategy": getattr(args, "strategy", None),
+    }
+    assignments = [f"{path}={v}" for path, v in flags.items() if v is not None]
+    raw = apply_overrides(raw, args.overrides + assignments)
     return raw, config_from_dict(raw)
 
 
@@ -143,8 +140,9 @@ def _checkpoint_model(path, config):
     return model
 
 
-def _save_checkpoint(args, raw, config, name, model, schedule, iterations) -> None:
-    """A checkpoint with this run's provenance, for train and unlearn alike."""
+def _save_checkpoint(args, raw, config, name, model, iterations) -> None:
+    """A checkpoint with this run's provenance, on the config's schedule."""
+    schedule = config.schedule
 
     def save(path):
         save_checkpoint(
@@ -181,7 +179,7 @@ def cmd_train(args, raw, config) -> int:
     spec, data = harness.build_dataset(config)
     model, history = harness.pretrain_from_config(config, data, spec)
     steps = config.pretrain.steps
-    _save_checkpoint(args, raw, config, "pretrained.json", model, config.schedule, steps)
+    _save_checkpoint(args, raw, config, "pretrained.json", model, steps)
     final = history[-1] if history else float("nan")
     print(f"steps={steps} final_loss={final:.6g}")
     return 0
@@ -195,17 +193,11 @@ def cmd_unlearn(args, raw, config) -> int:
     )
     tag = config.unlearn.strategy
     _save_checkpoint(
-        args,
-        raw,
-        config,
-        f"unlearned_{tag}.json",
-        final,
-        config.schedule,
-        config.unlearn.iterations,
+        args, raw, config, f"unlearned_{tag}.json", final, config.unlearn.iterations
     )
     trajectory = f"trajectory_{tag}.csv"
     _write(args, config.paths.report_dir, trajectory, write_trajectory_csv, reports)
-    conflicted = float(np.mean([r.conflicted for r in reports])) if reports else 0.0
+    conflicted = float(np.mean([r.conflicted for r in reports]))
     print(
         f"strategy={tag} iterations={len(reports)} "
         f"loss_cap={run_cfg.loss_cap:.6g} conflicted_fraction={conflicted:.3f}"

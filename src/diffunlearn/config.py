@@ -255,11 +255,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     return _build("", RunConfig, raw)
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a config file."""
-    return config_from_dict(load_config_dict(path))
-
-
 def load_config_dict(path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -277,8 +272,9 @@ def load_config_dict(path) -> dict:
 def apply_overrides(raw: dict, assignments) -> dict:
     """Apply dotted-path overrides like "unlearn.strategy=graddiff".
 
-    Values parse as JSON when possible, else as bare strings. Paths must
-    address existing structure; a typo raises instead of creating new keys.
+    Values parse as JSON when possible, else as bare strings. A section the
+    document leaves out is created; a path through a value that is not an
+    object is refused. Names are checked by ``config_from_dict``.
     """
     out = json.loads(json.dumps(raw))
     for assignment in assignments:
@@ -291,15 +287,14 @@ def apply_overrides(raw: dict, assignments) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        parts = dotted.split(".")
+        *sections, leaf = dotted.split(".")
         node = out
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"override path '{dotted}' does not exist")
-            node = node[part]
-        leaf = parts[-1]
+        for part in sections:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
         if not isinstance(node, dict):
-            raise ConfigError(f"override path '{dotted}' does not exist")
+            raise ConfigError(
+                f"override path '{dotted}' runs through a value that is not an object"
+            )
         node[leaf] = value
     return out
 

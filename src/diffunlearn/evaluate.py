@@ -358,25 +358,17 @@ def full_eval(
         )
     gen, seed = as_generator(rng)
     n = config.n_per_condition
-    counts = {str(k): 0 for k in range(spec.num_classes)}
-    counts["none"] = 0
-
-    def tally(labels):
-        for lab in labels:
-            counts["none" if lab < 0 else str(int(lab))] += 1
-
     retained = [k for k in range(spec.num_classes) if k != forget_class]
     samples = _sample_classes(model, [forget_class, *retained], n, schedule, gen)
-    forget_labels = classify_points(samples[0], spec, config.none_threshold)
-    tally(forget_labels)
-    ua = float(1.0 - np.mean(forget_labels == forget_class))
-
-    correct = 0
-    for k, generated in zip(retained, samples[1:]):
-        labels = classify_points(generated, spec, config.none_threshold)
-        tally(labels)
-        correct += int(np.sum(labels == k))
-    ra = correct / (n * len(retained))
+    labels = classify_points(
+        samples.reshape(-1, spec.input_dim), spec, config.none_threshold
+    ).reshape(len(samples), n)
+    ua = float(1.0 - np.mean(labels[0] == forget_class))
+    ra = int(np.sum(labels[1:] == np.array(retained)[:, None])) / (n * len(retained))
+    # Bin 0 counts "none" (label -1), bin k + 1 class k.
+    hist = np.bincount(labels.ravel() + 1, minlength=spec.num_classes + 1)
+    counts = {str(k): int(hist[k + 1]) for k in range(spec.num_classes)}
+    counts["none"] = int(hist[0])
 
     reference = []
     for k in retained:

@@ -41,9 +41,6 @@ class NoisePredictor:
             unconditional row).
         num_timesteps: Size of the timestep embedding table; forward passes
             accept timesteps 1..num_timesteps.
-        time_embed_dim: Width of the timestep embedding, must equal
-            hidden_dims[0] because rows are added to the first pre-activation.
-        class_embed_dim: Width of the class embedding, same constraint.
         params: Flat float64 parameter vector in the canonical layout.
     """
 
@@ -51,8 +48,6 @@ class NoisePredictor:
     hidden_dims: tuple[int, ...]
     num_classes: int
     num_timesteps: int
-    time_embed_dim: int
-    class_embed_dim: int
     params: np.ndarray
 
     def __post_init__(self):
@@ -62,11 +57,6 @@ class NoisePredictor:
             raise DomainError("input_dim, num_classes and num_timesteps must be >= 1")
         if len(hidden) < 1 or any(h < 1 for h in hidden):
             raise DomainError("hidden_dims must name at least one positive width")
-        if self.time_embed_dim != hidden[0] or self.class_embed_dim != hidden[0]:
-            raise DomainError(
-                "embedding widths must equal the first hidden width; embeddings "
-                "are added to the first pre-activation"
-            )
         expected = param_count(
             self.input_dim, hidden, self.num_classes, self.num_timesteps
         )
@@ -182,7 +172,6 @@ def init_model(
     num_classes: int,
     num_timesteps: int,
     rng: np.random.Generator,
-    weight_scale: float | None = None,
 ) -> NoisePredictor:
     """Create a model with 1/sqrt(fan_in)-scaled Gaussian weights.
 
@@ -193,8 +182,7 @@ def init_model(
     dims = [input_dim, *hidden_dims, input_dim]
     chunks = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        scale = weight_scale if weight_scale is not None else 1.0 / np.sqrt(fan_in)
-        chunks.append(rng.standard_normal(fan_out * fan_in) * scale)
+        chunks.append(rng.standard_normal(fan_out * fan_in) * (1.0 / np.sqrt(fan_in)))
         chunks.append(np.zeros(fan_out))
     h0 = hidden_dims[0]
     chunks.append(np.zeros(num_timesteps * h0))
@@ -204,8 +192,6 @@ def init_model(
         hidden_dims=hidden_dims,
         num_classes=num_classes,
         num_timesteps=num_timesteps,
-        time_embed_dim=h0,
-        class_embed_dim=h0,
         params=np.concatenate(chunks),
     )
 

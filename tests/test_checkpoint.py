@@ -163,7 +163,7 @@ def test_bad_params_rejected_naming_file(tmp_path, small_model, schedule, case):
         load_checkpoint(path)
 
 
-# Fields of the wrong type, each as (section, field or None, value).
+# Fields of the wrong type or value, each as (section, field or None, value).
 MALFORMED_FIELDS = {
     "architecture-list": ("architecture", None, []),
     "hidden-dims-number": ("architecture", "hidden_dims", 5),
@@ -172,6 +172,9 @@ MALFORMED_FIELDS = {
     "num-timesteps-string": ("schedule", "num_timesteps", "4"),
     "provenance-number": ("provenance", None, 5),
     "provenance-list": ("provenance", None, []),
+    # Embedding rows are added to the first pre-activation, width 6 here.
+    "time-embed-dim-not-first-hidden": ("architecture", "time_embed_dim", 4),
+    "class-embed-dim-not-first-hidden": ("architecture", "class_embed_dim", 4),
 }
 # Sizes that are JSON numbers but not integers, rejected as such rather than
 # truncated or caught later by a parameter count.
@@ -199,6 +202,17 @@ def test_malformed_field_rejected_naming_file(tmp_path, small_model, schedule, c
     path.write_text(json.dumps(doc))
     match = "ck.json.*must be an integer" if case in NON_INTEGER_FIELDS else "ck.json"
     with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["time_embed_dim", "class_embed_dim"])
+def test_missing_embed_width_rejected(tmp_path, small_model, schedule, field):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
+    doc = json.loads(path.read_text())
+    del doc["architecture"][field]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"ck.json.*missing '{field}'"):
         load_checkpoint(path)
 
 

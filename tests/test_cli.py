@@ -306,6 +306,51 @@ def test_defaults_without_config_flag(tmp_path):
     assert len((out / "dataset.jsonl").read_text().splitlines()) == 25
 
 
+def test_set_fills_a_section_the_file_omits(tmp_path):
+    # The file leaves "pretrain" out; --set writes it as the file would.
+    partial = {k: v for k, v in tiny_raw().items() if k != "pretrain"}
+    full = partial | {"pretrain": {"steps": 20, "batch_size": 16}}
+    (tmp_path / "partial.json").write_text(json.dumps(partial))
+    (tmp_path / "full.json").write_text(json.dumps(full))
+    a, b = tmp_path / "a", tmp_path / "b"
+    rc = main(
+        [
+            "train",
+            "--config",
+            str(tmp_path / "partial.json"),
+            "--out",
+            str(a),
+            "--set",
+            "pretrain.steps=20",
+            "--set",
+            "pretrain.batch_size=16",
+        ]
+    )
+    assert rc == 0
+    rc = main(["train", "--config", str(tmp_path / "full.json"), "--out", str(b)])
+    assert rc == 0
+    assert (a / "pretrained.json").read_bytes() == (b / "pretrained.json").read_bytes()
+
+
+def test_paths_section_places_every_artifact(tmp_path):
+    paths = {"data_dir": "data", "checkpoint_dir": "ckpt", "report_dir": "reports"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_raw() | {"paths": paths}))
+    out = tmp_path / "runs"
+    # eval, given no --checkpoint, reads pretrained.json from checkpoint_dir.
+    for command in ("gen-data", "train", "unlearn", "eval"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*"))
+    assert written == [
+        "ckpt/pretrained.json",
+        "ckpt/unlearned_restricted.json",
+        "data/dataset.jsonl",
+        "reports/eval_pretrained.csv",
+        "reports/eval_pretrained.json",
+        "reports/trajectory_restricted.csv",
+    ]
+
+
 class TestExitCodes:
     def test_unknown_config_field_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -359,6 +404,26 @@ class TestExitCodes:
         )
         assert rc == 1
         assert "nope" in capsys.readouterr().err
+
+    def test_typo_override_section_named(self, cfg_path, tmp_path, capsys):
+        # --set creates the section; the schema rejects it by name.
+        out = tmp_path / "o"
+        argv = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["gen-data", *argv, "--set", "mixtrue.sigma=1"]) == 1
+        assert "config error: unknown field 'mixtrue'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "3"], ["--forget-class", "1"], ["--strategy", "graddiff"]]
+    )
+    def test_flag_on_non_object_config_is_config_error(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        out = tmp_path / "o"
+        rc = main(["unlearn", "--config", str(bad), "--out", str(out), *flag])
+        assert rc == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint_is_runtime_error(self, cfg_path, tmp_path, capsys):
         rc = main(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "o")])

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
+from diffunlearn.cli import main
 from diffunlearn.config import (
     RunConfig,
     apply_overrides,
     config_from_dict,
     config_hash,
     default_config_dict,
-    load_config,
+    load_config_dict,
     stage_seed,
 )
 from diffunlearn.errors import ConfigError, DomainError
@@ -151,19 +152,19 @@ def test_explicit_means_build_mixture():
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 11}))
-    assert load_config(path).seed == 11
+    assert config_from_dict(load_config_dict(path)).seed == 11
 
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "absent.json")
+        load_config_dict(tmp_path / "absent.json")
 
 
 def test_load_config_invalid_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
-        load_config(path)
+        load_config_dict(path)
 
 
 class TestOverrides:
@@ -194,9 +195,25 @@ class TestOverrides:
         apply_overrides(base, ["seed=99"])
         assert base["seed"] == 0
 
-    def test_missing_path_rejected(self):
-        with pytest.raises(ConfigError, match="does not exist"):
-            apply_overrides(default_config_dict(), ["unlearn.nope.deep=1"])
+    def test_missing_path_rejected(self, tmp_path, capsys):
+        # The override creates the path; the schema rejects it by name.
+        argv = ["gen-data", "--out", str(tmp_path), "--set", "unlearn.nope.deep=1"]
+        assert main(argv) == 1
+        assert "unknown field 'unlearn.nope'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_section_created(self):
+        raw = apply_overrides({"seed": 7}, ["mixture.samples_per_class=10"])
+        assert raw == {"seed": 7, "mixture": {"samples_per_class": 10}}
+
+    @pytest.mark.parametrize("raw, assignment", [
+        ({"seed": 7}, "seed.deep=1"),
+        ({"unlearn": None}, "unlearn.strategy=graddiff"),
+        ([], "seed=3"),
+    ])
+    def test_path_through_non_object_rejected(self, raw, assignment):
+        with pytest.raises(ConfigError, match="not an object"):
+            apply_overrides(raw, [assignment])
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key.path=value"):

@@ -244,7 +244,7 @@ class TestDdpmSample:
         beta = 0.2
         sched = NoiseSchedule(1, beta, beta)
         n_params = param_count(2, (4,), 1, 1)
-        model = NoisePredictor(2, (4,), 1, 1, 4, 4, np.zeros(n_params))
+        model = NoisePredictor(2, (4,), 1, 1, np.zeros(n_params))
         out = ddpm_sample(model, 0, 5, sched, 123)
         x1 = np.random.default_rng(123).standard_normal((5, 2))
         np.testing.assert_allclose(out.samples, x1 / np.sqrt(1.0 - beta), rtol=1e-14)

@@ -53,8 +53,6 @@ def tiny_model():
         hidden_dims=(2,),
         num_classes=2,
         num_timesteps=3,
-        time_embed_dim=2,
-        class_embed_dim=2,
         params=params,
     )
 
@@ -84,12 +82,7 @@ class TestModelConstruction:
 
     def test_wrong_param_length_rejected(self):
         with pytest.raises(ShapeError):
-            NoisePredictor(1, (2,), 2, 3, 2, 2, np.zeros(5))
-
-    def test_embed_width_must_match_first_hidden(self):
-        n = param_count(1, (2,), 2, 3)
-        with pytest.raises(DomainError):
-            NoisePredictor(1, (2,), 2, 3, 3, 2, np.zeros(n))
+            NoisePredictor(1, (2,), 2, 3, np.zeros(5))
 
     def test_params_are_frozen(self):
         model = tiny_model()
@@ -173,7 +166,7 @@ class TestModelConstruction:
 class TestForward:
     def test_zero_params_gives_zero_output(self):
         n = param_count(2, (8,), 4, 10)
-        model = NoisePredictor(2, (8,), 4, 10, 8, 8, np.zeros(n))
+        model = NoisePredictor(2, (8,), 4, 10, np.zeros(n))
         x = np.random.default_rng(0).standard_normal((5, 2))
         assert np.array_equal(mlp_forward(model, x, 3, 1), np.zeros((5, 2)))
 

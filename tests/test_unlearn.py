@@ -38,7 +38,7 @@ from gradcheck import (
 
 def zero_model(num_classes=2, num_timesteps=4):
     n = param_count(2, (5,), num_classes, num_timesteps)
-    return NoisePredictor(2, (5,), num_classes, num_timesteps, 5, 5, np.zeros(n))
+    return NoisePredictor(2, (5,), num_classes, num_timesteps, np.zeros(n))
 
 
 def random_small_model(seed=31):

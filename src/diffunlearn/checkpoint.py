@@ -114,10 +114,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} holds non-finite parameters")
 
     def integer(name, value):
+        # A TypeError, which the handlers below prefix with the file once.
         if type(value) is not int:
-            raise CheckpointError(
-                f"checkpoint {path}: {name} must be an integer, got {value!r}"
-            )
+            raise TypeError(f"{name} must be an integer, got {value!r}")
         return value
 
     try:

@@ -214,21 +214,22 @@ def ddpm_sample(
     rows = _class_rows(model, class_id, n)
     c_select = _row_selection(rows, class_id).reshape(1, -1)
     gen, seed = as_generator(rng)
-    samples = _sample(model, c_select, n, schedule, gen)[0]
+    (samples,), _ = _sample(model, c_select, n, schedule, gen)
     return SamplerOutput(samples=samples, seed=seed)
 
 
-def _sample_classes(model: NoisePredictor, classes, n: int, schedule: NoiseSchedule, gen):
-    """n samples of each class in ``classes``, as a (C, n, input_dim) array.
+def _sample_classes(model: NoisePredictor, classes, n: int, schedule: NoiseSchedule, gen,
+                    after=lambda: None):
+    """n samples of each class in ``classes``, (C, n, input_dim), and ``after()``.
 
     The samples and the generator's state afterwards equal those of one
     :func:`ddpm_sample` call per class, in order, on ``gen``. Each class is
     checked on its own, as ``ddpm_sample`` checks a scalar ``class_id``: a
     bool or a fractional value raises DomainError, an integral float such
-    as 2.0 is class 2.
+    as 2.0 is class 2. ``after`` may draw from ``gen`` (see :func:`_sample`).
     """
     rows = np.concatenate([_class_rows(model, k, 1) for k in classes])
-    return _sample(model, rows[:, None], n, schedule, gen)
+    return _sample(model, rows[:, None], n, schedule, gen, after)
 
 
 # Rows one lock-step group of chains may stack: conditions of n chains each
@@ -274,8 +275,10 @@ def _usable_cpus() -> int:
 _WORKERS = _sampler_workers(os.environ, _usable_cpus())
 
 
-def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, gen):
-    """Run C conditions' chains of n samples each; returns (C, n, input_dim).
+def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, gen,
+            after=lambda: None):
+    """Run C conditions' chains of n samples each; returns (C, n, input_dim)
+    samples and ``after()``.
 
     ``c_select`` holds C class-table row selections, shape (C, 1) for one
     class per condition or (1, n) for a class per sample; its rows must be
@@ -298,8 +301,12 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
     serial stream in the serial order. It keeps at most one group per
     worker in flight and joins the results in group order, so the samples,
     the generator's final state and the first SamplingDiverged are the
-    serial path's. Memory in flight: at most workers x (one group's hidden
-    buffers + its noise).
+    serial path's. ``after`` runs once on this thread after its last draw:
+    serially once every group has finished; on workers once every group but
+    the last is joined, beside that group, whose SamplingDiverged still wins
+    over an error of ``after``. Memory in flight: at most max(workers x
+    group, one group + what ``after`` holds), a group being its hidden
+    buffers and its noise.
     """
     if n < 1:
         raise DomainError("sample count must be at least 1")
@@ -318,17 +325,18 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
     selects = [c_select[s : s + group] for s in range(0, len(c_select), group)]
     workers = min(len(selects), _WORKERS)
     if workers > 1 and group * steps * n <= _NOISE_ROWS:
-        return _sample_threaded(model, views, selects, coefficients, gen, n, workers)
+        return _sample_threaded(model, views, selects, coefficients, gen, n, workers, after)
     hidden = [np.empty((group, n, width)) for width in model.hidden_dims]
     parts = []
     for select in selects:
         buffers = [buffer[: len(select)] for buffer in hidden]
         parts.append(_chains(views, select, coefficients, gen, buffers))
-    return np.concatenate(parts)
+    return np.concatenate(parts), after()
 
 
-def _sample_threaded(model, views, selects, coefficients, gen, n, workers):
-    """:func:`_sample`'s groups on ``workers`` threads, nothing checked.
+def _sample_threaded(model, views, selects, coefficients, gen, n, workers, after):
+    """:func:`_sample`'s groups on ``workers`` threads, nothing checked;
+    ``after`` runs on this thread while the last group runs.
 
     Worker threads call only :func:`_chains`, and through it the layer
     kernel. Only this thread draws, and it builds each group's hidden
@@ -354,8 +362,13 @@ def _sample_threaded(model, views, selects, coefficients, gen, n, workers):
             pending.append(
                 pool.submit(_chains, views, select, coefficients, None, hidden, noise)
             )
-        parts.extend(future.result() for future in pending)
-    return np.concatenate(parts)
+        while len(pending) > 1:
+            parts.append(pending.popleft().result())
+        try:
+            result = after()
+        finally:
+            parts.append(pending.popleft().result())
+    return np.concatenate(parts), result
 
 
 def _chains(views, c_select, coefficients, gen, hidden, noise=None) -> np.ndarray:

@@ -306,33 +306,39 @@ def mmd(a, b, bandwidth: float) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise DomainError("sample sets must be 2-D arrays")
-    if a.shape[0] < 2 or b.shape[0] < 2:
-        raise DomainError("unbiased estimator needs >= 2 points per set")
     if not 0.0 < bandwidth < np.inf:
         raise DomainError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    return _mmd(a, b, bandwidth, _within(b, bandwidth))
+
+
+def _kernel_sum(blocks, bandwidth) -> float:
+    """Sum of exp(-sq / (2 bandwidth^2)) over blocks of squared distances."""
+    gamma, total = 1.0 / (2.0 * bandwidth**2), 0.0
+    for sq in blocks:
+        sq *= -gamma
+        total += float(np.sum(np.exp(sq, out=sq)))
+        del sq  # before the next block is computed
+    return total
+
+
+def _within(x, bandwidth) -> float:
+    """x's within-set term of :func:`mmd`: its kernel mean over distinct pairs."""
+    m = x.shape[0]
+    if m < 2:
+        raise DomainError("unbiased estimator needs >= 2 points per set")
+    # Each unordered pair appears once; the symmetric sum doubles it.
+    return 2.0 * _kernel_sum(_within_blocks(x, "sqeuclidean"), bandwidth) / (m * (m - 1))
+
+
+def _mmd(a, b, bandwidth, within_b) -> float:
+    """:func:`mmd` of checked sets given b's within term; terms combine only here."""
+    within_a = _within(a, bandwidth)
     first, second = a, b
     if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
         first, second = b, a
-    gamma = 1.0 / (2.0 * bandwidth**2)
-
-    def block_sum(sq):
-        sq *= -gamma
-        return float(np.sum(np.exp(sq, out=sq)))
-
-    def kernel_sum(blocks):
-        total = 0.0
-        for part in map(block_sum, blocks):
-            total += part
-        return total
-
-    def within(x):
-        m = x.shape[0]
-        # Each unordered pair appears once; the symmetric sum doubles it.
-        return 2.0 * kernel_sum(_within_blocks(x, "sqeuclidean")) / (m * (m - 1))
-
-    cross = kernel_sum(_cross_blocks(first, second, "sqeuclidean"))
+    cross = _kernel_sum(_cross_blocks(first, second, "sqeuclidean"), bandwidth)
     cross *= 2.0 / (first.shape[0] * second.shape[0])
-    return within(first) + within(second) - cross
+    return within_a + within_b - cross
 
 
 def full_eval(
@@ -351,6 +357,10 @@ def full_eval(
     ``diffusion._sample_classes``, which checks the classes, the count and
     the model's timestep table once and gives the bytes and generator state
     of one ``ddpm_sample`` call per condition in that order.
+
+    The reference side (its draw, bandwidth and within-set kernel term)
+    runs as that call's ``after``, beside the last condition group when the
+    groups run on worker threads; the report keeps its bits either way.
     """
     if not (0 <= forget_class < spec.num_classes):
         raise DomainError(
@@ -359,7 +369,18 @@ def full_eval(
     gen, seed = as_generator(rng)
     n = config.n_per_condition
     retained = [k for k in range(spec.num_classes) if k != forget_class]
-    samples = _sample_classes(model, [forget_class, *retained], n, schedule, gen)
+
+    def reference_side():
+        reference = np.concatenate([
+            spec.means[k] + spec.sigma * gen.standard_normal((n, spec.input_dim))
+            for k in retained
+        ])
+        bandwidth = config.bandwidth or median_bandwidth(reference)
+        return reference, bandwidth, _within(reference, bandwidth)
+
+    samples, (reference, bandwidth, within_reference) = _sample_classes(
+        model, [forget_class, *retained], n, schedule, gen, reference_side
+    )
     labels = classify_points(
         samples.reshape(-1, spec.input_dim), spec, config.none_threshold
     ).reshape(len(samples), n)
@@ -369,20 +390,11 @@ def full_eval(
     hist = np.bincount(labels.ravel() + 1, minlength=spec.num_classes + 1)
     counts = {str(k): int(hist[k + 1]) for k in range(spec.num_classes)}
     counts["none"] = int(hist[0])
-
-    reference = []
-    for k in retained:
-        noise = gen.standard_normal((n, spec.input_dim))
-        reference.append(spec.means[k] + spec.sigma * noise)
-    reference = np.concatenate(reference, axis=0)
     generated = samples[1:].reshape(-1, spec.input_dim)
-    bandwidth = (
-        median_bandwidth(reference) if config.bandwidth is None else config.bandwidth
-    )
     return EvalReport(
         ua=ua,
         ra=ra,
-        mmd=mmd(generated, reference, bandwidth),
+        mmd=_mmd(generated, reference, bandwidth, within_reference),
         per_class_counts=counts,
         n_samples_per_condition=n,
         seed=seed,

@@ -201,8 +201,9 @@ def test_malformed_field_rejected_naming_file(tmp_path, small_model, schedule, c
         doc[section][field] = value
     path.write_text(json.dumps(doc))
     match = "ck.json.*must be an integer" if case in NON_INTEGER_FIELDS else "ck.json"
-    with pytest.raises(CheckpointError, match=match):
+    with pytest.raises(CheckpointError, match=match) as err:
         load_checkpoint(path)
+    assert str(err.value).count("ck.json") == 1, str(err.value)
 
 
 @pytest.mark.parametrize("field", ["time_embed_dim", "class_embed_dim"])

@@ -44,13 +44,14 @@ def two_blob_spec():
 
 def stub_sampler(per_class_point):
     """Lookalike of full_eval's sampler, ``diffusion._sample_classes``,
-    emitting a fixed point per conditioning class."""
+    emitting a fixed point per conditioning class, then running ``after``."""
 
-    def fake(model, classes, n, schedule, gen):
-        return np.stack([
+    def fake(model, classes, n, schedule, gen, after):
+        samples = np.stack([
             np.tile(np.asarray(per_class_point[k], dtype=float), (n, 1))
             for k in classes
         ])
+        return samples, after()
 
     return fake
 
@@ -294,10 +295,12 @@ class TestMmd:
         assert value > 1.0
 
     def test_symmetric_bit_exactly(self):
+        # Unequal sizes, and equal sizes as full_eval's two sets have, where
+        # the bytes pick the canonical order: both orders give the oracle.
         g = np.random.default_rng(5)
         a = g.standard_normal((40, 2))
-        b = 2.0 + g.standard_normal((55, 2))
-        assert mmd(a, b, 0.7) == mmd(b, a, 0.7)
+        for b in (2.0 + g.standard_normal((55, 2)), 2.0 + g.standard_normal((40, 2))):
+            assert mmd(a, b, 0.7) == mmd(b, a, 0.7) == full_matrix_mmd(a, b, 0.7)
 
     def test_permutation_within_set_is_equivalent(self):
         g = np.random.default_rng(6)
@@ -569,18 +572,22 @@ class TestFullEval:
             assert got == want
             assert np.float64(got.mmd).tobytes() == np.float64(want.mmd).tobytes()
 
+    @pytest.mark.parametrize("bandwidth", (None, 1.5))
     @pytest.mark.parametrize("n", (400, 1100))
-    def test_matches_serial_sampling_on_worker_threads(self, toy3, monkeypatch, n):
+    def test_matches_serial_sampling_on_worker_threads(self, toy3, monkeypatch, n, bandwidth):
         # Groups of two and one conditions at n = 400, three groups of one
-        # at 1,100; two workers give the serial report bit for bit.
-        config = EvalConfig(n_per_condition=n)
-        reports = []
-        for workers in (1, 2):
+        # at 1,100. At 1, 2 and 3 workers, with the reference side running
+        # beside the last group, the report is the serial oracle's bit for
+        # bit, whether the bandwidth is the reference's median or given.
+        config = EvalConfig(n_per_condition=n, bandwidth=bandwidth)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluate_mod, "_sample_classes", reference_full_eval_samples)
+            want = full_eval(toy3.model, 1, toy3.spec, toy3.schedule, config, 5)
+        for workers in (1, 2, 3):
             monkeypatch.setattr(diffusion, "_WORKERS", workers)
-            reports.append(full_eval(toy3.model, 1, toy3.spec, toy3.schedule, config, 5))
-        serial, threaded = reports
-        assert threaded == serial
-        assert np.float64(threaded.mmd).tobytes() == np.float64(serial.mmd).tobytes()
+            got = full_eval(toy3.model, 1, toy3.spec, toy3.schedule, config, 5)
+            assert got == want
+            assert np.float64(got.mmd).tobytes() == np.float64(want.mmd).tobytes()
 
     def test_deterministic_per_seed(self, toy3):
         config = EvalConfig(n_per_condition=100)

@@ -72,12 +72,12 @@ def load_checkpoint(path):
     """Load a checkpoint file, version 1 or 2.
 
     Returns (model, schedule, provenance dict). Unknown versions, params
-    that do not decode, non-finite parameters, fields of the wrong type (the
-    sizes must be JSON integers, not floats or booleans, and provenance an
-    object), embedding widths other than the first hidden width, parameter
-    vectors that do not match the declared architecture and schedules longer
-    than the timestep table are rejected with an error naming the file, not
-    guessed at.
+    that do not decode (version 1's must be a flat list of JSON numbers),
+    non-finite parameters, fields of the wrong type (the sizes must be JSON
+    integers, not floats or booleans, and provenance an object), embedding
+    widths other than the first hidden width, parameter vectors that do not
+    match the declared architecture and schedules longer than the timestep
+    table are rejected with an error naming the file, not guessed at.
     """
     path = Path(path)
     if not path.exists():
@@ -104,11 +104,15 @@ def load_checkpoint(path):
     arch = doc["architecture"]
     try:
         if version == 1:
-            params = np.asarray(doc["params"], dtype=np.float64)
+            values = doc["params"]
+            # asarray would turn strings and booleans into numbers.
+            if type(values) is not list or {type(v) for v in values} - {int, float}:
+                raise TypeError("version 1 params must be a flat list of JSON numbers")
+            params = np.asarray(values, dtype=np.float64)
         else:
             blob = base64.b64decode(doc["params"], validate=True)
             params = np.frombuffer(blob, dtype="<f8")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint {path}: unreadable params: {exc}") from exc
     if not np.isfinite(params).all():
         raise CheckpointError(f"checkpoint {path} holds non-finite parameters")

@@ -72,12 +72,13 @@ class LabeledDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
+        # Own copies, so marking them read-only leaves the caller's writable.
+        points = np.array(self.points, dtype=np.float64)
         labels = np.asarray(self.labels).reshape(-1)
         # As in nn._checked_rows: a bool or a fraction is not truncated.
         if labels.dtype.kind not in "iu":
             raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
-        labels = labels.astype(np.int64, copy=False)
+        labels = labels.astype(np.int64)
         if points.ndim != 2:
             raise ShapeError(f"points must be 2-D, got shape {points.shape}")
         if points.shape[0] != labels.shape[0]:

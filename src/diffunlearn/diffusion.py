@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -283,37 +285,28 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
     ``c_select`` holds C class-table row selections, shape (C, 1) for one
     class per condition or (1, n) for a class per sample; its rows must be
     checked. Checked here: the count and the model's timestep table. The
-    parameters are unpacked once and the three per-step coefficients are
-    precomputed as vectors; correctly rounded sqrt and division give the
-    same bits as the per-step scalars. Conditions run in lock-step groups
-    of at most _ROWS rows (one condition when n exceeds it) and at most
-    _NOISE_ROWS pre-drawn noise rows, each group through :func:`_chains`.
-    How conditions are grouped or scheduled changes no bytes: the draws
-    form one stream however it is cut.
+    three per-step coefficients are precomputed as vectors; correctly
+    rounded sqrt and division give the same bits as the per-step scalars.
+    Conditions run in lock-step groups of at most _ROWS rows (one condition
+    when n exceeds it) and _NOISE_ROWS pre-drawn noise rows, each through
+    :func:`_chains` with its own hidden buffers and :func:`_noise`.
 
-    Serially, one buffer per hidden layer is sized for the largest group
-    and reused by every group and step. The groups run on
-    ``min(groups, _WORKERS)`` worker threads instead (see
-    :func:`_sampler_workers`) when that is more than one and a whole
-    group's noise fits _NOISE_ROWS. Draw order: this thread draws each
-    group's whole (group, T, n, input_dim) noise in one standard_normal
-    call, in group order and before it submits that group, which is the
-    serial stream in the serial order. It keeps at most one group per
-    worker in flight and joins the results in group order, so the samples,
-    the generator's final state and the first SamplingDiverged are the
-    serial path's. ``after`` runs once on this thread after its last draw:
-    serially once every group has finished; on workers once every group but
-    the last is joined, beside that group, whose SamplingDiverged still wins
-    over an error of ``after``. Memory in flight: at most max(workers x
-    group, one group + what ``after`` holds), a group being its hidden
-    buffers and its noise.
+    One loop runs the groups on ``workers`` threads: ``min(groups,
+    _WORKERS)`` when that is more than one and a whole group's noise fits
+    _NOISE_ROWS, else one, which runs each group here as it is reached and
+    starts no thread. Only this thread draws, each group's noise before the
+    group starts, so the stream is the serial one however it is cut. At
+    most ``workers`` groups are in flight, joined in group order, so the
+    samples, the generator's final state and the first SamplingDiverged
+    never depend on ``workers``. ``after`` runs once here after the last
+    draw, with every group but the last joined; the last group's
+    SamplingDiverged wins over an error of ``after``. Memory in flight:
+    ``workers`` groups' buffers and noise, plus what ``after`` holds.
     """
     if n < 1:
         raise DomainError("sample count must be at least 1")
     if model.num_timesteps < schedule.num_timesteps:
-        raise DomainError(
-            "model timestep table is smaller than the schedule horizon"
-        )
+        raise DomainError("model timestep table is smaller than the schedule horizon")
     coefficients = (
         schedule.betas / schedule.sqrt_one_minus_alpha_bars,
         np.sqrt(1.0 - schedule.betas),
@@ -325,43 +318,25 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
     selects = [c_select[s : s + group] for s in range(0, len(c_select), group)]
     workers = min(len(selects), _WORKERS)
     if workers > 1 and group * steps * n <= _NOISE_ROWS:
-        return _sample_threaded(model, views, selects, coefficients, gen, n, workers, after)
-    hidden = [np.empty((group, n, width)) for width in model.hidden_dims]
-    parts = []
-    for select in selects:
-        buffers = [buffer[: len(select)] for buffer in hidden]
-        parts.append(_chains(views, select, coefficients, gen, buffers))
-    return np.concatenate(parts), after()
+        # Imported here, like scipy in evaluate: loading concurrent.futures
+        # takes ~3 ms that no serial command needs.
+        from concurrent.futures import ThreadPoolExecutor
 
-
-def _sample_threaded(model, views, selects, coefficients, gen, n, workers, after):
-    """:func:`_sample`'s groups on ``workers`` threads, nothing checked;
-    ``after`` runs on this thread while the last group runs.
-
-    Worker threads call only :func:`_chains`, and through it the layer
-    kernel. Only this thread draws, and it builds each group's hidden
-    buffers next to that group's noise and hands both to the worker. A
-    group's noise and buffers are made after the group ``workers`` places
-    before it was joined, so at most ``workers`` groups' buffers and noise
-    are alive at once. (Each worker building its own group's buffers kept
-    the same bytes but raised ``eval-large``'s peak RSS by 0.7 MB, and
-    reusing per-worker buffers by 3 MB.)
-    """
-    # Imported here, like scipy in evaluate: loading concurrent.futures
-    # takes ~3 ms that no serial command needs.
-    from concurrent.futures import ThreadPoolExecutor
-
-    shape = (coefficients[0].size, n, model.input_dim)
+        executor = ThreadPoolExecutor(workers)
+    else:
+        workers, executor = 1, nullcontext(SimpleNamespace(submit=_now))
     parts, pending = [], deque()
-    with ThreadPoolExecutor(workers) as pool:
+    with executor as pool:
         for select in selects:
             if len(pending) == workers:
                 parts.append(pending.popleft().result())
-            noise = gen.standard_normal((len(select), *shape))
-            hidden = [np.empty((len(select), n, width)) for width in model.hidden_dims]
-            pending.append(
-                pool.submit(_chains, views, select, coefficients, None, hidden, noise)
-            )
+            # Made in the call, so no name keeps a finished group's arrays.
+            # Workers' own buffers raised eval-large's peak RSS 0.7-3 MB.
+            pending.append(pool.submit(
+                _chains, views, select, coefficients,
+                _noise(gen, len(select), (steps, n, model.input_dim), workers > 1),
+                [np.empty((len(select), n, width)) for width in model.hidden_dims],
+            ))
         while len(pending) > 1:
             parts.append(pending.popleft().result())
         try:
@@ -371,7 +346,29 @@ def _sample_threaded(model, views, selects, coefficients, gen, n, workers, after
     return np.concatenate(parts), result
 
 
-def _chains(views, c_select, coefficients, gen, hidden, noise=None) -> np.ndarray:
+def _now(fn, *args):
+    """The one-worker ``submit``: runs the call now; returns a done stand-in Future."""
+    value = fn(*args)
+    return SimpleNamespace(result=lambda: value)
+
+
+def _noise(gen, count: int, shape, whole: bool):
+    """``draw(k)`` for one group: its ``count`` conditions' (count, n,
+    input_dim) normals at stream position k = T - t, x_T at k = 0.
+
+    ``count`` ddpm_sample calls in a row draw each condition's (T, n,
+    input_dim) block in turn, which is one standard_normal of the stacked
+    shape. ``whole`` draws every block now; otherwise the last condition
+    draws its rows one draw(k) at a time, as it would alone, so k must run
+    0, 1, ..., T - 1 and a lone condition pre-draws nothing.
+    """
+    noise = gen.standard_normal((count - (not whole), *shape))
+    if whole:
+        return lambda k: noise[:, k]
+    return lambda k: np.concatenate((noise[:, k], gen.standard_normal((1, *shape[1:]))))
+
+
+def _chains(views, c_select, coefficients, draw, hidden) -> np.ndarray:
     """The reverse-process loop over C stacked chains, nothing checked.
 
     Every array is stacked (C, n, width): each layer is one ``np.matmul``
@@ -379,43 +376,21 @@ def _chains(views, c_select, coefficients, gen, hidden, noise=None) -> np.ndarra
     condition's ``@`` makes, so each condition gets the bits it would get
     alone (flattening to (C * n, width) does not keep them). The bias and
     timestep rows broadcast over the stack and a condition's class row
-    broadcasts as (C, 1, h0).
-
-    Draw order: C ``ddpm_sample`` calls in a row draw each condition's T
-    (n, input_dim) normals in turn, x_T first; condition c's noise for
-    timestep t is row T - t of its (T, n, input_dim) block. One
-    standard_normal of shape (C, T, n, input_dim) is the same stream. With
-    ``noise`` None, the first C - 1 conditions' blocks are drawn up front
-    from ``gen`` and the last condition draws step by step, as it would
-    alone, so a lone condition pre-draws nothing and the pre-drawn noise is
-    (C - 1) * T * n rows. Given ``noise``, the group's whole
-    (C, T, n, input_dim) stream drawn by the caller, nothing is drawn and
-    ``gen`` is not used; the threaded sampler passes it, and holds at most
-    one such group's buffers and noise per worker in flight.
-    ``hidden`` holds one (C, n, width) buffer per hidden layer. A non-finite
-    value after any step raises SamplingDiverged naming the first such
+    broadcasts as (C, 1, h0). ``draw`` is the group's :func:`_noise` and
+    ``hidden`` one (C, n, width) buffer per hidden layer. A non-finite value
+    after any step raises SamplingDiverged naming the first such
     condition's class rows (num_classes is the unconditional row) and t.
     """
     eps_scale, keep_scale, noise_scale = coefficients
     steps = eps_scale.size
-    count, n, _ = hidden[0].shape
-    width = views[0][0].shape[1]
-    if noise is None:
-        noise = gen.standard_normal((count - 1, steps, n, width))
-    drawn = len(noise)
-    x = np.empty((count, n, width))
-    x[:drawn] = noise[:, 0]
-    if drawn < count:
-        x[-1] = gen.standard_normal((n, width))
+    x = draw(0)
     for i in range(steps - 1, -1, -1):  # i = t - 1
         eps_hat = _forward(views, x, slice(i, i + 1), c_select, hidden)[-1]
         x = (x - eps_scale[i] * eps_hat) / keep_scale[i]
         if i > 0:
-            x[:drawn] += noise_scale[i] * noise[:, steps - i]
-            if drawn < count:
-                x[-1] += noise_scale[i] * gen.standard_normal((n, width))
+            x += noise_scale[i] * draw(steps - i)
         if not np.isfinite(x).all():
-            first = np.isfinite(x).reshape(count, -1).all(axis=1).argmin()
+            first = np.isfinite(x).reshape(len(x), -1).all(axis=1).argmin()
             classes = ", ".join(map(str, np.unique(c_select[first])))
             raise SamplingDiverged(
                 f"sampling produced a non-finite value for class {classes} "

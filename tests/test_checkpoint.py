@@ -128,6 +128,27 @@ def test_version_1_loads_bit_exact(tmp_path, small_model, schedule):
     assert provenance == {"config_hash": "abc", "seed": 4, "iterations": 7}
 
 
+# Each used to load: numpy turned "0.5" into 0.5 and true into 1.0, and
+# the nested pairs into an (n/2, 2) array of the right size.
+V1_PARAMS = {
+    "strings": lambda values: [str(v) for v in values],
+    "booleans": lambda values: [True, *values[1:]],
+    "nested": lambda values: [values[i : i + 2] for i in range(0, len(values), 2)],
+    "int-overflow": lambda values: [10**400, *values[1:]],
+}
+
+
+@pytest.mark.parametrize("case", V1_PARAMS)
+def test_version_1_params_must_be_a_flat_list_of_numbers(tmp_path, small_model, schedule, case):
+    path = tmp_path / "v1.json"
+    doc = _v1_doc(small_model, schedule)
+    doc["params"] = V1_PARAMS[case](doc["params"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="v1.json: unreadable params") as err:
+        load_checkpoint(path)
+    assert str(err.value).count("v1.json") == 1, str(err.value)
+
+
 def test_version_1_resaves_as_version_2(tmp_path, small_model, schedule):
     first = tmp_path / "v1.json"
     first.write_text(json.dumps(_v1_doc(small_model, schedule), indent=1) + "\n")

@@ -75,6 +75,16 @@ class TestLabeledDataset:
         empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
         assert len(empty) == 0
 
+    def test_owns_copies_of_the_callers_arrays(self):
+        # float64 points and int64 labels used to be aliased and marked
+        # read-only, locking the caller's own arrays.
+        points, labels = np.zeros((3, 2)), np.array([0, 2, 1], dtype=np.int64)
+        data = LabeledDataset(points, labels)
+        assert points.flags.writeable and labels.flags.writeable
+        points[0, 0], labels[0] = 5.0, 1
+        assert data.points[0, 0] == 0.0 and data.labels[0] == 0
+        assert not data.points.flags.writeable and not data.labels.flags.writeable
+
     def test_generated_and_loaded_sets_still_load(self, tmp_path):
         data = gen_mixture(circle_mixture(samples_per_class=5), 1)
         path = tmp_path / "data.jsonl"

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -670,6 +671,50 @@ class TestSamplerWorkers:
         assert result.returncode == 0, result.stderr
         expected = diffusion._usable_cpus() if threads == "1" else 1
         assert int(result.stdout) == expected
+
+    # An evaluation at 300 per condition forms two groups of conditions,
+    # then one ddpm_sample call runs one.
+    SAMPLING = textwrap.dedent("""
+        import sys
+
+        import numpy as np
+        from diffunlearn import diffusion
+        from diffunlearn.data import circle_mixture
+        from diffunlearn.diffusion import NoiseSchedule, ddpm_sample
+        from diffunlearn.evaluate import EvalConfig, full_eval
+        from diffunlearn.nn import init_model
+
+        sched = NoiseSchedule(4, 1e-3, 0.2)
+        model = init_model(2, (8,), 5, 4, np.random.default_rng(0))
+        before = "concurrent.futures" in sys.modules
+        full_eval(model, 0, circle_mixture(), sched, EvalConfig(n_per_condition=300), 1)
+        ddpm_sample(model, 1, 50, sched, 2)
+        print(before, diffusion._WORKERS > 1, "concurrent.futures" in sys.modules)
+    """)
+
+    @pytest.mark.parametrize("threads", (None, "1"))
+    def test_concurrent_futures_loaded_only_by_threaded_sampling(self, threads):
+        # Serial sampling never imports concurrent.futures; a threaded
+        # evaluation imports it when it starts its workers.
+        if threads == "1" and diffusion._usable_cpus() == 1:
+            pytest.skip("one usable CPU: the sampler never starts a worker")
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run(
+            [sys.executable, "-c", self.SAMPLING],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        threaded = threads == "1"
+        assert result.stdout.split() == ["False", str(threaded), str(threaded)]
 
 
 class TestNonFiniteSample:

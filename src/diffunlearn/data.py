@@ -74,10 +74,12 @@ class LabeledDataset:
     def __post_init__(self):
         # Own copies, so marking them read-only leaves the caller's writable.
         points = np.array(self.points, dtype=np.float64)
-        labels = np.asarray(self.labels).reshape(-1)
+        labels = np.asarray(self.labels)
         # As in nn._checked_rows: a bool or a fraction is not truncated.
         if labels.dtype.kind not in "iu":
             raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+        if labels.ndim != 1:
+            raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
         labels = labels.astype(np.int64)
         if points.ndim != 2:
             raise ShapeError(f"points must be 2-D, got shape {points.shape}")

@@ -216,22 +216,21 @@ def ddpm_sample(
     rows = _class_rows(model, class_id, n)
     c_select = _row_selection(rows, class_id).reshape(1, -1)
     gen, seed = as_generator(rng)
-    (samples,), _ = _sample(model, c_select, n, schedule, gen)
+    (samples,) = _sample(model, c_select, n, schedule, gen)
     return SamplerOutput(samples=samples, seed=seed)
 
 
-def _sample_classes(model: NoisePredictor, classes, n: int, schedule: NoiseSchedule, gen,
-                    after=lambda: None):
-    """n samples of each class in ``classes``, (C, n, input_dim), and ``after()``.
+def _sample_classes(model: NoisePredictor, classes, n: int, schedule: NoiseSchedule, gen):
+    """n samples of each class in ``classes``, (C, n, input_dim).
 
     The samples and the generator's state afterwards equal those of one
     :func:`ddpm_sample` call per class, in order, on ``gen``. Each class is
     checked on its own, as ``ddpm_sample`` checks a scalar ``class_id``: a
     bool or a fractional value raises DomainError, an integral float such
-    as 2.0 is class 2. ``after`` may draw from ``gen`` (see :func:`_sample`).
+    as 2.0 is class 2.
     """
     rows = np.concatenate([_class_rows(model, k, 1) for k in classes])
-    return _sample(model, rows[:, None], n, schedule, gen, after)
+    return _sample(model, rows[:, None], n, schedule, gen)
 
 
 # Rows one lock-step group of chains may stack: conditions of n chains each
@@ -277,10 +276,9 @@ def _usable_cpus() -> int:
 _WORKERS = _sampler_workers(os.environ, _usable_cpus())
 
 
-def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, gen,
-            after=lambda: None):
+def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, gen):
     """Run C conditions' chains of n samples each; returns (C, n, input_dim)
-    samples and ``after()``.
+    samples.
 
     ``c_select`` holds C class-table row selections, shape (C, 1) for one
     class per condition or (1, n) for a class per sample; its rows must be
@@ -298,10 +296,8 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
     group starts, so the stream is the serial one however it is cut. At
     most ``workers`` groups are in flight, joined in group order, so the
     samples, the generator's final state and the first SamplingDiverged
-    never depend on ``workers``. ``after`` runs once here after the last
-    draw, with every group but the last joined; the last group's
-    SamplingDiverged wins over an error of ``after``. Memory in flight:
-    ``workers`` groups' buffers and noise, plus what ``after`` holds.
+    never depend on ``workers``. Memory in flight: ``workers`` groups'
+    buffers and noise.
     """
     if n < 1:
         raise DomainError("sample count must be at least 1")
@@ -337,13 +333,8 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
                 _noise(gen, len(select), (steps, n, model.input_dim), workers > 1),
                 [np.empty((len(select), n, width)) for width in model.hidden_dims],
             ))
-        while len(pending) > 1:
-            parts.append(pending.popleft().result())
-        try:
-            result = after()
-        finally:
-            parts.append(pending.popleft().result())
-    return np.concatenate(parts), result
+        parts.extend(future.result() for future in pending)
+    return np.concatenate(parts)
 
 
 def _now(fn, *args):

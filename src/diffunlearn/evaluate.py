@@ -7,10 +7,14 @@ likelihood rule) unless it is farther than a threshold from every mean, in
 which case it counts as "none". Unlearning accuracy (UA) is the share of
 forget-conditioned samples NOT classified as the forgotten class; remaining
 accuracy (RA) is the share of retain-conditioned samples classified as their
-conditioning class. Generation quality is summarized by a U-statistic MMD
-estimate against fresh true-mixture draws, standing in for FID. It is
-unbiased only for i.i.d. sets; both sets here hold exactly n points per
-retained class, so it reads low, by about 4e-4 at the default config.
+conditioning class. Generation quality is summarized by a squared MMD
+between the generated retained-class samples and the retained mixture
+itself, standing in for FID. The mixture's side is in closed form, so no
+reference sample is drawn, and the generated side is a class-stratified
+U-statistic, so the estimate is unbiased: true mixture samples score 0 in
+expectation. (Scoring against a drawn reference with i.i.d. U-statistics,
+as earlier versions did, read low by about 4e-4 at the default config,
+because both sets held exactly n points per class.)
 
 Distances come from scipy's compiled module ``scipy.spatial._distance_pybind``,
 whose ``cdist_<metric>`` and ``pdist_<metric>`` functions are what
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -50,7 +55,8 @@ class EvalConfig:
         none_threshold: Distance cutoff in sigma units past which a sample
             classifies as "none".
         bandwidth: Gaussian kernel width for the MMD; None selects the
-            median pairwise distance of the reference set.
+            population median of the distance between two independent
+            draws of the retained mixture.
     """
 
     n_per_condition: int = 500
@@ -58,8 +64,9 @@ class EvalConfig:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.n_per_condition < 1:
-            raise DomainError("n_per_condition must be >= 1")
+        # The MMD's same-class blocks are U-statistics, which need a pair.
+        if self.n_per_condition < 2:
+            raise DomainError("n_per_condition must be >= 2")
         if not self.none_threshold > 0.0:
             raise DomainError("none_threshold must be > 0")
         if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
@@ -75,21 +82,27 @@ class EvalReport:
             forgotten class ("none" therefore counts toward forgetting).
         ra: Fraction of retain-conditioned samples classified as their
             conditioning class.
-        mmd: Squared MMD U-statistic between generated retained-class
-            samples and fresh true draws, forget class excluded from both
-            sides; both sets are class-stratified, so it reads low.
+        mmd: Squared MMD between the generated retained-class samples and
+            the retained mixture, forget class excluded from both; unbiased
+            (see :func:`_mixture_mmd`).
+        bandwidth: Gaussian kernel width the MMD used.
         per_class_counts: Histogram of oracle labels over every generated
             sample; keys are class indices as strings plus "none".
         n_samples_per_condition: Per-condition sampling budget.
         seed: Seed that drove the evaluation; None when a Generator did.
+        version: Report format. Version 2 added ``bandwidth`` and scores
+            against the mixture in closed form; version 1 had neither field
+            and scored against a drawn reference.
     """
 
     ua: float
     ra: float
     mmd: float
+    bandwidth: float
     per_class_counts: dict
     n_samples_per_condition: int
     seed: int | None
+    version: int = 2
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -311,7 +324,12 @@ def mmd(a, b, bandwidth: float) -> float:
         raise DomainError("sample sets must be 2-D arrays")
     if not 0.0 < bandwidth < np.inf:
         raise DomainError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    return _mmd(a, b, bandwidth, _within(b, bandwidth))
+    first, second = a, b
+    if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
+        first, second = b, a
+    cross = _kernel_sum(_cross_blocks(first, second, "sqeuclidean"), bandwidth)
+    cross *= 2.0 / (first.shape[0] * second.shape[0])
+    return _within(a, bandwidth) + _within(b, bandwidth) - cross
 
 
 def _kernel_sum(blocks, bandwidth) -> float:
@@ -325,7 +343,7 @@ def _kernel_sum(blocks, bandwidth) -> float:
 
 
 def _within(x, bandwidth) -> float:
-    """x's within-set term of :func:`mmd`: its kernel mean over distinct pairs."""
+    """x's kernel mean over its distinct pairs, a U-statistic."""
     m = x.shape[0]
     if m < 2:
         raise DomainError("unbiased estimator needs >= 2 points per set")
@@ -333,15 +351,123 @@ def _within(x, bandwidth) -> float:
     return 2.0 * _kernel_sum(_within_blocks(x, "sqeuclidean"), bandwidth) / (m * (m - 1))
 
 
-def _mmd(a, b, bandwidth, within_b) -> float:
-    """:func:`mmd` of checked sets given b's within term; terms combine only here."""
-    within_a = _within(a, bandwidth)
-    first, second = a, b
-    if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
-        first, second = b, a
-    cross = _kernel_sum(_cross_blocks(first, second, "sqeuclidean"), bandwidth)
-    cross *= 2.0 / (first.shape[0] * second.shape[0])
-    return within_a + within_b - cross
+def _mixture_mmd(generated, means, sigma: float, bandwidth: float) -> float:
+    """Squared MMD between class-stratified samples and the equal-weight
+    mixture of N(mu_c, sigma^2 I) over the rows mu_c of ``means``.
+
+    ``generated`` is (C, n, d), row c drawn for class c. With the Gaussian
+    kernel k, MMD^2 = E k(x, x') - 2 E k(x, y) + E k(y, y') for x from the
+    samples and y from the mixture (Gretton et al. 2012, "A Kernel
+    Two-Sample Test", JMLR 13), estimated term by term:
+
+    - E k(x, x') averages the C x C class blocks with weight 1/C^2 each:
+      same-class blocks are U-statistics, the diagonal left out, and
+      cross-class blocks full means. Each block is unbiased for its pair of
+      classes, so the average is unbiased for the mixture although every
+      class holds exactly n samples; the i.i.d. U-statistic over all Cn
+      samples is not, and reads low. Both stream the same pairs.
+    - E k(x, y) and E k(y, y') are exact (see :func:`_smoothed_kernel_mean`):
+      y - y' for classes a and b is N(mu_a - mu_b, 2 sigma^2 I).
+    """
+    classes, n, dim = generated.shape
+    within = sum(_within(x, bandwidth) for x in generated)
+    for a in range(classes):
+        for b in range(a + 1, classes):
+            pair = _kernel_sum(_cross_blocks(generated[a], generated[b], "sqeuclidean"), bandwidth)
+            within += 2.0 * pair / (n * n)
+    cross = _smoothed_kernel_mean(generated.reshape(-1, dim), means, sigma**2, bandwidth)
+    reference = _smoothed_kernel_mean(means, means, 2.0 * sigma**2, bandwidth)
+    return within / (classes * classes) - 2.0 * cross + reference
+
+
+def _smoothed_kernel_mean(x, means, variance: float, bandwidth: float) -> float:
+    """Mean over rows x_i of x and mu_c of means of E k(x_i, mu_c + u) for
+    u ~ N(0, variance I) and the Gaussian kernel k of width h = bandwidth:
+    (h^2 / (h^2 + variance))^(d/2) exp(-||x_i - mu_c||^2 / (2 (h^2 + variance))).
+    """
+    h2 = bandwidth**2
+    total = _kernel_sum(_cross_blocks(x, means, "sqeuclidean"), math.sqrt(h2 + variance))
+    return (h2 / (h2 + variance)) ** (x.shape[1] / 2) * total / (len(x) * len(means))
+
+
+# A Poisson-weighted sum keeps the terms within _TAIL (sqrt(mean) + 1) of its
+# mean; the terms dropped hold far less mass than float64 rounding.
+_TAIL = 10.0
+
+
+def _window(mean: float):
+    """(first index, count) of the terms kept around ``mean``."""
+    spread = _TAIL * (math.sqrt(mean) + 1.0)
+    first = max(0, math.floor(mean - spread))
+    return first, math.ceil(mean + spread) - first + 1
+
+
+def _poisson_terms(rate: float, first, count: int) -> np.ndarray:
+    """exp(-rate) rate^k / Gamma(k + 1) for ``count`` values k = first,
+    first + 1, ...; ``first`` may be fractional, down to -1/2."""
+    if rate == 0.0:
+        return (first + np.arange(count) == 0).astype(np.float64)
+    logs = np.empty(count)
+    logs[0] = first * math.log(rate) - rate - math.lgamma(first + 1.0)
+    logs[1:] = math.log(rate) - np.log(first + np.arange(1, count))
+    return np.exp(np.cumsum(logs))
+
+
+def _mixture_median(means, sigma: float) -> float:
+    """Median of ||y - y'|| for independent draws y, y' of the equal-weight
+    mixture of N(mu_c, sigma^2 I) over the rows mu_c of ``means``.
+
+    For y of class a and y' of class b, ||y - y'||^2 / (2 sigma^2) is
+    noncentral chi^2 with d degrees of freedom and noncentrality
+    lam = ||mu_a - mu_b||^2 / (2 sigma^2). So ||y - y'|| <= r with
+    probability sum_j Poisson(j; lam/2) P(d/2 + j, z) at z = r^2 / (4 sigma^2),
+    P the regularized lower incomplete gamma function. P(s, z) is the sum
+    over m >= 0 of the Poisson(z) terms at s + m (see :func:`_poisson_terms`),
+    and dP/dz the term at s - 1, so one window of terms around z gives
+    every P and its derivative. Each sum keeps only the window of terms
+    around its Poisson mean (:func:`_window`), O(sqrt(mean)) of them, so the
+    cost grows with the largest class distance over sigma, not with its
+    square. Newton steps on z, bisecting when a step leaves the bracket,
+    find where the mixture's CDF, the mean over the C x C class pairs, is
+    1/2. The bracket starts at 0 and twice the mean of ||y - y'||^2, which
+    by Markov's inequality bounds the median's square.
+    """
+    dim = means.shape[1]
+    sq = _kernels().cdist_sqeuclidean(means, means).ravel()
+    rates, counts = np.unique(sq / (4.0 * sigma**2), return_counts=True)
+    # P(d/2 + j, z) sums the terms at base + m for m >= j + shift.
+    shift = (dim - 1) // 2
+    base = dim / 2 - shift
+    index, weight = [], []
+    for rate, count in zip(rates, counts):
+        first, size = _window(rate)
+        index.append(first + shift + np.arange(size))
+        weight.append(count / sq.size * _poisson_terms(rate, first, size))
+    index, weight = np.concatenate(index), np.concatenate(weight)
+
+    def cdf_and_density(z):
+        first, size = _window(z)
+        # terms[i] is the term at base + first - 1 + i; the last stays 0.
+        terms = np.zeros(size + 2)
+        terms[:-1] = _poisson_terms(z, base + first - 1, size + 1)
+        tails = np.cumsum(terms[::-1])[::-1]
+        cdf = np.sum(weight * tails[np.clip(index - first + 1, 0, size + 1)])
+        return float(cdf), float(np.sum(weight * terms[np.clip(index - first, 0, size + 1)]))
+
+    lo, hi = 0.0, float(np.mean(sq)) / (2.0 * sigma**2) + dim
+    z = 0.5 * hi
+    for _ in range(200):  # bisection alone converges in under 100
+        cdf, density = cdf_and_density(z)
+        if cdf < 0.5:
+            lo = z
+        else:
+            hi = z
+        step = z - (cdf - 0.5) / density if density > 0.0 else lo
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(step - z) <= 1e-13 * z:
+            break
+        z = step
+    return 2.0 * sigma * math.sqrt(step)
 
 
 def full_eval(
@@ -354,18 +480,18 @@ def full_eval(
 ) -> EvalReport:
     """Sample per condition, judge with the oracle, and compare to truth.
 
-    Draw order is fixed (forget condition, retained classes ascending, then
-    reference draws), so a seed passed as ``rng`` pins the whole report.
-    Every condition is sampled by one lock-step call,
+    Draw order is fixed (forget condition, then retained classes
+    ascending), so a seed passed as ``rng`` pins the whole report. Every
+    condition is sampled by one lock-step call,
     ``diffusion._sample_classes``, which checks the classes, the count and
     the model's timestep table once and gives the bytes and generator state
     of one ``ddpm_sample`` call per condition in that order.
 
-    The reference side (its draw, bandwidth and within-set kernel term)
-    runs as that call's ``after``, once every condition group but the last
-    is joined: beside the last group when the sampler's one group loop runs
-    on worker threads, after it with one worker. The report keeps its bits
-    either way.
+    The MMD scores the retained conditions' samples against the retained
+    mixture in closed form (:func:`_mixture_mmd`), so nothing else is
+    drawn. Its bandwidth is ``config.bandwidth`` or, when that is None, the
+    population median of the retained mixture's pairwise distance
+    (:func:`_mixture_median`).
     """
     if not (0 <= forget_class < spec.num_classes):
         raise DomainError(
@@ -374,18 +500,7 @@ def full_eval(
     gen, seed = as_generator(rng)
     n = config.n_per_condition
     retained = [k for k in range(spec.num_classes) if k != forget_class]
-
-    def reference_side():
-        reference = np.concatenate([
-            spec.means[k] + spec.sigma * gen.standard_normal((n, spec.input_dim))
-            for k in retained
-        ])
-        bandwidth = config.bandwidth or median_bandwidth(reference)
-        return reference, bandwidth, _within(reference, bandwidth)
-
-    samples, (reference, bandwidth, within_reference) = _sample_classes(
-        model, [forget_class, *retained], n, schedule, gen, reference_side
-    )
+    samples = _sample_classes(model, [forget_class, *retained], n, schedule, gen)
     labels = classify_points(
         samples.reshape(-1, spec.input_dim), spec, config.none_threshold
     ).reshape(len(samples), n)
@@ -395,11 +510,13 @@ def full_eval(
     hist = np.bincount(labels.ravel() + 1, minlength=spec.num_classes + 1)
     counts = {str(k): int(hist[k + 1]) for k in range(spec.num_classes)}
     counts["none"] = int(hist[0])
-    generated = samples[1:].reshape(-1, spec.input_dim)
+    means = spec.means[retained]
+    bandwidth = config.bandwidth or _mixture_median(means, spec.sigma)
     return EvalReport(
         ua=ua,
         ra=ra,
-        mmd=_mmd(generated, reference, bandwidth, within_reference),
+        mmd=_mixture_mmd(samples[1:], means, spec.sigma, bandwidth),
+        bandwidth=bandwidth,
         per_class_counts=counts,
         n_samples_per_condition=n,
         seed=seed,

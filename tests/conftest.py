@@ -2,7 +2,10 @@
 
 Tests marked @pytest.mark.acceptance(criterion=N, label=...) get one
 "criterion N [PASS/FAIL] label" line in the terminal summary, so the
-headline checks are readable without scrolling the full test log.
+headline checks are readable without scrolling the full test log. Under it
+come the comparisons the test recorded through the ``margin`` fixture, each
+with its measured values and its margin, positive when the comparison
+holds, so a PASS shows how close it came to failing.
 """
 
 from types import SimpleNamespace
@@ -39,7 +42,8 @@ def pytest_runtest_makereport(item, call):
     # rather than dropping the line.
     if report.when == "call" or (report.when == "setup" and report.failed):
         passed = report.when == "call" and report.passed
-        _acceptance_results[num] = (label, passed)
+        margins = [value for key, value in item.user_properties if key == "margin"]
+        _acceptance_results[num] = (label, passed, margins)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -47,9 +51,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         return
     terminalreporter.section("acceptance criteria")
     for num in sorted(_acceptance_results):
-        label, ok = _acceptance_results[num]
+        label, ok, margins = _acceptance_results[num]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {num} [{verdict}] {label}")
+        for line in margins:
+            terminalreporter.write_line(f"    {line}")
+
+
+@pytest.fixture
+def margin(request):
+    """``margin(name, value, sense, bound_name, bound)`` records one headline
+    comparison, ``value`` ``sense`` ``bound`` for a sense of ">=", ">", "<="
+    or "<", for the acceptance summary. Record before asserting, so that a
+    failing test still shows every value."""
+
+    def record(name, value, sense, bound_name, bound):
+        # Positive when the comparison holds (strictly, for ">" and "<").
+        gap = value - bound if sense.startswith(">") else bound - value
+        request.node.user_properties.append((
+            "margin",
+            f"{name} {value:.6g} {sense} {bound_name} {bound:.6g}: margin {gap:+.3g}",
+        ))
+
+    return record
 
 
 @pytest.fixture(scope="session")

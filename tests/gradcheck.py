@@ -149,13 +149,11 @@ def serial_ddpm_sample(model, class_id, n, schedule, gen):
     return x
 
 
-def reference_full_eval_samples(model, classes, n, schedule, gen, after=lambda: None):
+def reference_full_eval_samples(model, classes, n, schedule, gen):
     """Reference for ``diffusion._sample_classes``: the per-condition
     sampler calls ``full_eval`` made before the lock-step sampler, one
-    :func:`serial_ddpm_sample` per class in order on ``gen``, then
-    ``after()`` once they are all done. Returns both results."""
-    samples = np.stack([serial_ddpm_sample(model, k, n, schedule, gen) for k in classes])
-    return samples, after()
+    :func:`serial_ddpm_sample` per class in order on ``gen``."""
+    return np.stack([serial_ddpm_sample(model, k, n, schedule, gen) for k in classes])
 
 
 def reference_unlearn_step(model, forget_batch, remain_batch, schedule, config, rng,

@@ -63,10 +63,12 @@ def conflicting_pair(rng, dim, max_abs_cos=None):
     label="projected updates: orthogonal residuals, nonnegative improvement, "
     "bit-exact pass-through, equal-norm scaling",
 )
-def test_update_geometry_across_dimensions():
+def test_update_geometry_across_dimensions(margin):
     t0 = time.perf_counter()
     for dim in (2, 10, 10_000):
         rng = np.random.default_rng(4600 + dim)
+        # The largest share of its bound that each checked quantity reached.
+        worst = {"residual": 0.0, "improvement": 0.0}
         for _ in range(1000):
             gf, gr = conflicting_pair(rng, dim)
             nf, nr = np.linalg.norm(gf), np.linalg.norm(gr)
@@ -77,11 +79,18 @@ def test_update_geometry_across_dimensions():
             # at 1e-9 relative to the product of the norms involved.
             bound_f = 1e-9 * max(np.linalg.norm(up.delta_f) * nr, 1e-30)
             bound_r = 1e-9 * max(np.linalg.norm(up.delta_r) * nf, 1e-30)
+            worst["residual"] = max(worst["residual"], abs(float(up.delta_f @ gr)) / bound_f,
+                                    abs(float(up.delta_r @ gf)) / bound_r)
             assert abs(float(up.delta_f @ gr)) <= bound_f
             assert abs(float(up.delta_r @ gf)) <= bound_r
 
             # First-order improvement on both objectives, zero up to rounding.
             nc = np.linalg.norm(up.combined)
+            worst["improvement"] = max(
+                worst["improvement"],
+                -float(up.combined @ gf) / (1e-9 * max(nc * nf, 1e-30)),
+                -float(up.combined @ gr) / (1e-9 * max(nc * nr, 1e-30)),
+            )
             assert float(up.combined @ gf) >= -1e-9 * max(nc * nf, 1e-30)
             assert float(up.combined @ gr) >= -1e-9 * max(nc * nr, 1e-30)
 
@@ -109,6 +118,9 @@ def test_update_geometry_across_dimensions():
                 up.combined, factor * raw_sum, rtol=1e-12,
                 atol=1e-12 * np.linalg.norm(raw_sum),
             )
+        margin(f"d={dim} worst residual / bound", worst["residual"], "<=", "limit", 1.0)
+        margin(f"d={dim} worst first-order loss / bound", worst["improvement"], "<=", "limit", 1.0)
+    margin("seconds", time.perf_counter() - t0, "<", "budget", 10.0)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -119,18 +131,23 @@ def test_update_geometry_across_dimensions():
     criterion=2,
     label="project_away matches the one-column least-squares residual",
 )
-def test_projection_matches_least_squares_at_scale():
+def test_projection_matches_least_squares_at_scale(margin):
     rng = np.random.default_rng(4700)
+    worst = 0.0
     for _ in range(1000):
         d = int(rng.integers(2, 200))
         g = rng.standard_normal(d)
         onto = rng.standard_normal(d)
         coef, *_ = np.linalg.lstsq(onto[:, None], g, rcond=None)
         residual = g - onto * coef[0]
+        error = np.abs(project_away(g, onto) - residual)
+        tolerance = 1e-10 * (np.abs(residual) + np.linalg.norm(g))
+        worst = max(worst, float(np.max(error / tolerance)))
         np.testing.assert_allclose(
             project_away(g, onto), residual,
             rtol=1e-10, atol=1e-10 * np.linalg.norm(g),
         )
+    margin("worst error / tolerance", worst, "<=", "limit", 1.0)
 
 
 # -- criterion 3: gradient as steepest ascent ---------------------------------
@@ -141,12 +158,13 @@ def test_projection_matches_least_squares_at_scale():
     label="gradient direction maximizes the directional derivative on "
     "random quadratics",
 )
-def test_gradient_is_steepest_ascent_direction():
+def test_gradient_is_steepest_ascent_direction(margin):
     # Central differences are exact on quadratics, so the derivative along
     # the normalized gradient must equal the gradient norm and dominate
     # every random unit direction.
     rng = np.random.default_rng(4800)
     h = 1e-4
+    worst = {"norm": 0.0, "excess": -np.inf}
     for _ in range(100):
         d = int(rng.integers(2, 12))
         b_mat = rng.standard_normal((d, d))
@@ -161,12 +179,17 @@ def test_gradient_is_steepest_ascent_direction():
         gnorm = float(np.linalg.norm(grad))
         along_grad = float(f(x0 + h * grad / gnorm) - f(x0 - h * grad / gnorm))
         along_grad /= 2.0 * h
+        worst["norm"] = max(worst["norm"], abs(along_grad - gnorm) / (1e-6 * gnorm))
         assert along_grad == pytest.approx(gnorm, rel=1e-6)
 
         dirs = rng.standard_normal((1000, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         derivs = (f(x0 + h * dirs) - f(x0 - h * dirs)) / (2.0 * h)
+        excess = (float(derivs.max()) - along_grad) / (1e-9 * max(gnorm, 1.0))
+        worst["excess"] = max(worst["excess"], excess)
         assert np.all(derivs <= along_grad + 1e-9 * max(gnorm, 1.0))
+    margin("worst |slope - norm| / tolerance", worst["norm"], "<=", "limit", 1.0)
+    margin("worst (best random slope - slope) / tolerance", worst["excess"], "<=", "limit", 1.0)
 
 
 # -- criterion 4: network gradients vs finite differences ---------------------
@@ -193,9 +216,10 @@ def random_small_model(rng, max_hidden=6):
     criterion=4,
     label="hand-written network gradients match central differences",
 )
-def test_network_gradients_match_finite_differences():
+def test_network_gradients_match_finite_differences(margin):
     t0 = time.perf_counter()
     rng = np.random.default_rng(4900)
+    worst = 0.0
     for _ in range(100):
         model = random_small_model(rng)
         batch = int(rng.integers(1, 5))
@@ -209,7 +233,10 @@ def test_network_gradients_match_finite_differences():
             return mean_squared_error(model.with_params(p), x, targets, t, c)
 
         fd = finite_diff_grad(loss_fn, model.params, h=1e-5)
+        worst = max(worst, float(np.max(np.abs(grad - fd) / (1e-10 + 1e-5 * np.abs(fd)))))
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
+    margin("worst error / tolerance", worst, "<=", "limit", 1.0)
+    margin("seconds", time.perf_counter() - t0, "<", "budget", 60.0)
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -306,8 +333,14 @@ def experiment():
     label="restricted unlearning forgets fully while holding retention and "
     "sample quality against ascent-descent and finetuning",
 )
-def test_restricted_beats_baselines_on_circle_mixture(experiment):
+def test_restricted_beats_baselines_on_circle_mixture(experiment, margin):
     med = experiment.medians
+    margin("restricted UA", med["restricted"]["ua"], ">=", "floor", 0.95)
+    margin("restricted RA", med["restricted"]["ra"], ">=", "graddiff RA", med["graddiff"]["ra"])
+    margin("restricted MMD", med["restricted"]["mmd"], "<=", "graddiff MMD", med["graddiff"]["mmd"])
+    margin("finetune UA", med["finetune"]["ua"], "<", "restricted UA", med["restricted"]["ua"])
+    margin("pretrain seconds", experiment.pretrain_seconds, "<=", "budget", 600.0)
+    margin("total seconds", experiment.total_seconds, "<=", "budget", 2700.0)
     assert med["restricted"]["ua"] >= 0.95
     assert med["restricted"]["ra"] >= med["graddiff"]["ra"]
     assert med["restricted"]["mmd"] <= med["graddiff"]["mmd"]
@@ -321,7 +354,7 @@ def test_restricted_beats_baselines_on_circle_mixture(experiment):
     label="a class-balanced remain set beats a similar-classes-only set of "
     "equal size",
 )
-def test_balanced_remain_set_beats_similar_only(experiment):
+def test_balanced_remain_set_beats_similar_only(experiment, margin):
     cfg = experiment.config
     retained = cfg.mixture.num_classes - 1
     k_nearest = cfg.unlearn.k_nearest
@@ -335,6 +368,8 @@ def test_balanced_remain_set_beats_similar_only(experiment):
     assert similar.points.shape[0] == balanced.points.shape[0]
 
     case1, case2 = experiment.ablation[1], experiment.ablation[2]
+    margin("balanced RA", case2["ra"], ">=", "similar RA", case1["ra"])
+    margin("balanced MMD", case2["mmd"], "<=", "similar MMD", case1["mmd"])
     assert case2["ra"] >= case1["ra"]
     assert case2["mmd"] <= case1["mmd"]
 
@@ -344,7 +379,9 @@ def test_balanced_remain_set_beats_similar_only(experiment):
     label="retention is more stable across the forgetting-cap grid under "
     "the restricted update",
 )
-def test_restricted_retention_varies_less_across_cap_grid(experiment):
+def test_restricted_retention_varies_less_across_cap_grid(experiment, margin):
+    var = experiment.sweep_var
+    margin("restricted RA variance", var["restricted"], "<=", "graddiff", var["graddiff"])
     assert experiment.sweep_var["restricted"] <= experiment.sweep_var["graddiff"]
 
 

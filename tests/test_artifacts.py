@@ -96,6 +96,7 @@ def test_eval_report_with_nan_mmd_writes_nothing(tmp_path):
         ua=1.0,
         ra=1.0,
         mmd=float("nan"),
+        bandwidth=1.0,
         per_class_counts={"0": 1, "none": 0},
         n_samples_per_condition=1,
         seed=0,

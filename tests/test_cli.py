@@ -506,7 +506,7 @@ class TestExitCodes:
     def test_non_finite_eval_report_exits_two(
         self, trained, cfg_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(evaluate, "_mmd", lambda a, b, bandwidth, within_b: float("nan"))
+        monkeypatch.setattr(evaluate, "_mixture_mmd", lambda *args: float("nan"))
         rc = main(["eval", "--config", str(cfg_path), "--out", str(trained)])
         assert rc == 2
         assert "ValueError" in capsys.readouterr().err

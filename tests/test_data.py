@@ -75,6 +75,16 @@ class TestLabeledDataset:
         empty = LabeledDataset(np.empty((0, 2)), np.empty(0, dtype=int))
         assert len(empty) == 0
 
+    @pytest.mark.parametrize("labels", [
+        np.array([[0, 1], [2, 3]]),
+        np.array([[0], [1], [2], [3]]),
+        np.array(0),
+    ])
+    def test_labels_must_be_one_dimensional(self, labels):
+        # A 2 x 2 label array used to flatten into four labels.
+        with pytest.raises(ShapeError, match="1-D"):
+            LabeledDataset(np.zeros((labels.size, 2)), labels)
+
     def test_owns_copies_of_the_callers_arrays(self):
         # float64 points and int64 labels used to be aliased and marked
         # read-only, locking the caller's own arrays.

@@ -357,8 +357,8 @@ class TestLockStepSampler:
             for forget in range(count):
                 classes = [forget, *(k for k in range(count) if k != forget)]
                 gen, ref_gen = np.random.default_rng(count), np.random.default_rng(count)
-                out, _ = _sample_classes(model, classes, n, sched, gen)
-                ref, _ = reference_full_eval_samples(model, classes, n, sched, ref_gen)
+                out = _sample_classes(model, classes, n, sched, gen)
+                ref = reference_full_eval_samples(model, classes, n, sched, ref_gen)
                 assert out.shape == (count, n, 2)
                 assert out.tobytes() == ref.tobytes()
                 assert gen.standard_normal(3).tobytes() == ref_gen.standard_normal(3).tobytes()
@@ -377,8 +377,8 @@ class TestLockStepSampler:
     def test_integral_float_class_is_that_class(self):
         sched = NoiseSchedule(6, 1e-3, 0.2)
         model = self.model((8,))
-        got, _ = _sample_classes(model, [2.0, np.float64(0.0)], 10, sched, np.random.default_rng(4))
-        want, _ = _sample_classes(model, [2, 0], 10, sched, np.random.default_rng(4))
+        got = _sample_classes(model, [2.0, np.float64(0.0)], 10, sched, np.random.default_rng(4))
+        want = _sample_classes(model, [2, 0], 10, sched, np.random.default_rng(4))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("steps", (50, 300))
@@ -392,8 +392,8 @@ class TestLockStepSampler:
         expected = min(5, diffusion._ROWS // n, 1 + diffusion._NOISE_ROWS // (steps * n))
         assert expected == (5 if steps == 50 else 2)
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
-        out, _ = _sample_classes(model, [3, 0, 1, 2, 4], n, sched, gen)
-        ref, _ = reference_full_eval_samples(model, [3, 0, 1, 2, 4], n, sched, ref_gen)
+        out = _sample_classes(model, [3, 0, 1, 2, 4], n, sched, gen)
+        ref = reference_full_eval_samples(model, [3, 0, 1, 2, 4], n, sched, ref_gen)
         assert out.tobytes() == ref.tobytes()
         assert gen.standard_normal(3).tobytes() == ref_gen.standard_normal(3).tobytes()
 
@@ -515,75 +515,6 @@ class TestThreadedSampler:
             thread.join(10)
         assert alive == []
 
-    @pytest.mark.parametrize("workers", (1, 2, 3))
-    def test_after_runs_on_this_thread_beside_at_most_one_group(self, monkeypatch, workers):
-        # Five groups of one condition. ``after`` runs once, on the calling
-        # thread, once every group but the last has finished; with one
-        # worker, after all of them. It draws from the generator where the
-        # serial reference's ``after`` does.
-        monkeypatch.setattr(diffusion, "_WORKERS", workers)
-        real, lock = diffusion._chains, threading.Lock()
-        state = {"running": 0, "finished": 0}
-
-        def tracking(*args, **kwargs):
-            with lock:
-                state["running"] += 1
-            try:
-                return real(*args, **kwargs)
-            finally:
-                with lock:
-                    state["running"] -= 1
-                    state["finished"] += 1
-
-        monkeypatch.setattr(diffusion, "_chains", tracking)
-        seen = []
-        gen, ref_gen = np.random.default_rng(6), np.random.default_rng(6)
-
-        def after():
-            with lock:
-                seen.append((threading.current_thread(), dict(state)))
-            return gen.standard_normal(3)
-
-        sched = NoiseSchedule(6, 1e-3, 0.2)
-        model = self.model((8,))
-        classes = [3, 0, 1, 2, 4]
-        out, drawn = _sample_classes(model, classes, 1025, sched, gen, after)
-        ref, ref_drawn = reference_full_eval_samples(
-            model, classes, 1025, sched, ref_gen, lambda: ref_gen.standard_normal(3)
-        )
-        assert out.tobytes() == ref.tobytes() and drawn.tobytes() == ref_drawn.tobytes()
-        assert gen.standard_normal(3).tobytes() == ref_gen.standard_normal(3).tobytes()
-        [(thread, at)] = seen
-        assert thread is threading.current_thread()
-        assert at["running"] <= 1 and at["finished"] >= len(classes) - 1
-        if workers == 1:
-            assert at == {"running": 0, "finished": len(classes)}
-
-    @pytest.mark.parametrize("classes", ([0, 2, 3, 1], [3, 1]))
-    def test_divergence_in_the_last_group_wins_over_after(self, monkeypatch, classes):
-        # Only the last condition diverges. Serially ``after`` is never
-        # reached; on workers it runs beside that group and fails, and the
-        # group's SamplingDiverged is still what is raised.
-        model = TestNonFiniteSample().model(row=1)
-        sched = NoiseSchedule(6, 0.01, 0.2)
-        ran = []
-
-        def after():
-            ran.append(threading.current_thread())
-            raise RuntimeError("after failed")
-
-        monkeypatch.setattr(diffusion, "_WORKERS", 1)
-        with pytest.raises(SamplingDiverged) as serial:
-            _sample_classes(model, classes, 1025, sched, np.random.default_rng(0), after)
-        assert ran == []
-        monkeypatch.setattr(diffusion, "_WORKERS", 2)
-        with pytest.raises(SamplingDiverged) as threaded:
-            _within(60, _sample_classes, model, classes, 1025, sched,
-                    np.random.default_rng(0), after)
-        assert str(threaded.value) == str(serial.value)
-        assert "class 1 at timestep 6" in str(serial.value)
-        assert len(ran) == 1
-
     def test_stress_many_workers_stays_bit_equal(self, monkeypatch):
         # Eight workers over ten conditions: groups of one at n = 40 (ten
         # groups, eight in flight) and of three at n = 20 (3, 3, 3, 1).
@@ -595,14 +526,14 @@ class TestThreadedSampler:
         sched = NoiseSchedule(6, 1e-3, 0.2)
         classes = [7, *(k for k in range(10) if k != 7)]
         want = {
-            n: reference_full_eval_samples(model, classes, n, sched, np.random.default_rng(n))[0]
+            n: reference_full_eval_samples(model, classes, n, sched, np.random.default_rng(n))
             for n in (20, 40)
         }
 
         def repeat():
             for rep in range(50):
                 n = (20, 40)[rep % 2]
-                got, _ = _sample_classes(model, classes, n, sched, np.random.default_rng(n))
+                got = _sample_classes(model, classes, n, sched, np.random.default_rng(n))
                 assert got.tobytes() == want[n].tobytes(), f"repetition {rep} differs"
 
         started = time.monotonic()
@@ -744,7 +675,7 @@ class TestNonFiniteSample:
         with pytest.raises(SamplingDiverged, match="class 1 at timestep 6"):
             _sample_classes(model, classes, 10, sched, np.random.default_rng(0))
         # Without class 1 every chain stays finite.
-        out, _ = _sample_classes(model, [0, 2, 3], 10, sched, np.random.default_rng(0))
+        out = _sample_classes(model, [0, 2, 3], 10, sched, np.random.default_rng(0))
         assert np.isfinite(out).all()
 
     def test_unconditional_and_per_sample_conditions(self):

@@ -44,14 +44,13 @@ def two_blob_spec():
 
 def stub_sampler(per_class_point):
     """Lookalike of full_eval's sampler, ``diffusion._sample_classes``,
-    emitting a fixed point per conditioning class, then running ``after``."""
+    emitting a fixed point per conditioning class."""
 
-    def fake(model, classes, n, schedule, gen, after):
-        samples = np.stack([
+    def fake(model, classes, n, schedule, gen):
+        return np.stack([
             np.tile(np.asarray(per_class_point[k], dtype=float), (n, 1))
             for k in classes
         ])
-        return samples, after()
 
     return fake
 
@@ -576,9 +575,8 @@ class TestFullEval:
     @pytest.mark.parametrize("n", (400, 1100))
     def test_matches_serial_sampling_on_worker_threads(self, toy3, monkeypatch, n, bandwidth):
         # Groups of two and one conditions at n = 400, three groups of one
-        # at 1,100. At 1, 2 and 3 workers, with the reference side running
-        # beside the last group, the report is the serial oracle's bit for
-        # bit, whether the bandwidth is the reference's median or given.
+        # at 1,100. At 1, 2 and 3 workers the report is the serial oracle's
+        # bit for bit, whether the bandwidth is the mixture's median or given.
         config = EvalConfig(n_per_condition=n, bandwidth=bandwidth)
         with monkeypatch.context() as patch:
             patch.setattr(evaluate_mod, "_sample_classes", reference_full_eval_samples)

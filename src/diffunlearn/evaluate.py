@@ -40,7 +40,7 @@ import numpy as np
 from . import artifacts
 from .data import MixtureSpec
 from .diffusion import NoiseSchedule, _sample_classes
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .nn import NoisePredictor
 from .rngs import as_generator
 
@@ -161,39 +161,33 @@ def classify_points(points, spec: MixtureSpec, none_threshold: float) -> np.ndar
 
 
 # Distances per streamed block: 2**17 float64 values, 1 MiB, half of a 2 MiB
-# per-core L2 cache, so each pass over a block (scale, exp, sum; or bin, count)
-# reads it from L2. Sized by element count, so a block stays the same size
-# whatever the sample count.
+# per-core L2 cache, so each pass over a block (scale, exp, sum) reads it
+# from L2. Sized by element count, so a block stays the same size whatever
+# the sample count.
 _BLOCK = 1 << 17
-# The streamed median gathers its window of candidate values once it holds at
-# most this many, 4 MiB; kept apart from _BLOCK so that the number of counting
-# passes does not depend on the block size.
-_GATHER = 1 << 19
-# Each counting pass of the streamed median splits its window of float64 bit
-# patterns into at most 2**_HIST_BITS equal bins.
-_HIST_BITS = 16
 
 
-def _cross_blocks(x, y, metric):
-    """Distances of every row of x to every row of y, in blocks of at most
-    _BLOCK values: row blocks of x in order, each split into column tiles of
-    y only when a single row exceeds _BLOCK."""
-    cdist = getattr(_kernels(), f"cdist_{metric}")
+def _cross_blocks(x, y):
+    """Squared distances of every row of x to every row of y, in blocks of
+    at most _BLOCK values: row blocks of x in order, each split into column
+    tiles of y only when a single row exceeds _BLOCK."""
+    cdist = _kernels().cdist_sqeuclidean
     rows = max(1, _BLOCK // max(1, len(y)))
     for i in range(0, len(x), rows):
         for j in range(0, len(y), _BLOCK):
             yield cdist(x[i : i + rows], y[j : j + _BLOCK])
 
 
-def _within_blocks(x, metric):
-    """Each unordered pair's distance once, in blocks of at most _BLOCK values.
+def _within_blocks(x):
+    """Each unordered pair's squared distance once, in blocks of at most
+    _BLOCK values.
 
     Rows are taken in order. A block of rows i0:i1 yields pdist(x[i0:i1]) and
     then the rectangle cdist(x[i0:i1], x[i1:]); the row count keeps the two
     together within _BLOCK, and a set whose pdist fits in one block is yielded
     as pdist(x) alone.
     """
-    pdist = getattr(_kernels(), f"pdist_{metric}")
+    pdist = _kernels().pdist_sqeuclidean
     start, m = 0, len(x)
     while start < m:
         left = m - start
@@ -203,7 +197,7 @@ def _within_blocks(x, metric):
             rows = max(1, _BLOCK // (left - 1))
         stop = start + rows
         yield pdist(x[start:stop])
-        yield from _cross_blocks(x[start:stop], x[stop:], metric)
+        yield from _cross_blocks(x[start:stop], x[stop:])
         start = stop
 
 
@@ -211,95 +205,22 @@ def median_bandwidth(reference) -> float:
     """Median pairwise distance of the reference sample, exactly
     ``np.median(pdist(reference))``.
 
-    The distances stream through _within_blocks in counting passes (see
-    _middle_distances). Peak memory is one block of distances plus at most
-    _GATHER gathered values, whatever the sample count.
+    It holds all n(n-1)/2 distances at once. No command calls it: an
+    evaluation takes its bandwidth from the mixture (:func:`_mixture_median`).
     """
     reference = np.asarray(reference, dtype=np.float64)
+    if reference.ndim != 2:
+        raise DomainError("sample sets must be 2-D arrays")
     if reference.shape[0] < 2:
         raise DomainError("median bandwidth needs at least 2 reference points")
     if not np.all(np.isfinite(reference)):
         raise DomainError("reference sample has a non-finite coordinate")
-    # np.median takes the mean of the middle one or two values.
-    bw = float(np.mean(_middle_distances(reference)))
+    bw = float(np.median(_kernels().pdist_euclidean(reference), overwrite_input=True))
     if not 0.0 < bw < np.inf:
         raise DomainError(
             f"reference sample's median pairwise distance must be finite and > 0, got {bw}"
         )
     return bw
-
-
-def _middle_distances(x):
-    """The middle one (odd pair count) or two (even) of x's sorted pairwise
-    distances, by counting passes over _within_blocks.
-
-    A non-negative float64 orders as its bit pattern read as an int64. The
-    search keeps a window of patterns, at first all of them, known to hold
-    the middle ranks. Each counting pass splits the window into at most
-    2**_HIST_BITS equal bins and keeps the bin holding the middle ranks, so
-    the window only narrows. Once it holds at most _GATHER values, a last
-    pass gathers them and ``np.partition`` picks the middle ranks, so the
-    passes hold one block of distances plus at most _GATHER values. A
-    window of one pattern is a single value, so no gathering pass is needed;
-    two middle ranks in different bins are the largest value below the upper
-    bin and the smallest in it, which one pass finds.
-    """
-    m = len(x)
-    pairs = m * (m - 1) // 2
-    ranks = np.unique([(pairs - 1) // 2, pairs // 2])
-
-    def each_block(fn):
-        # map drops each block before the next one is computed.
-        return map(fn, _within_blocks(x, "euclidean"))
-
-    lo, width, below, inside = 0, 1 << 63, 0, pairs
-    while inside > _GATHER:
-        shift = max(0, width.bit_length() - 1 - _HIST_BITS)
-        nbins = width >> shift
-
-        def histogram(block):
-            # Bin 0 counts the values below the window, bin nbins + 1 those above.
-            bins = block.reshape(-1).view(np.int64)
-            bins -= lo
-            bins >>= shift
-            np.clip(bins, -1, nbins, out=bins)
-            bins += 1
-            return np.bincount(bins, minlength=nbins + 2)
-
-        counts = np.zeros(nbins + 2, dtype=np.int64)
-        for part in each_block(histogram):
-            counts += part
-        cum = np.cumsum(counts)
-        first, last = np.searchsorted(cum, ranks[[0, -1]], side="right")
-        starts = lo + ((np.array([first, last]) - 1) << shift)
-        if shift == 0:
-            return starts[: len(ranks)].view(np.float64)
-        if first != last:
-            # Adjacent ranks; the bins between theirs are empty.
-            edge = starts[1:].view(np.float64)[0]
-
-            def ends(block):
-                return (
-                    np.max(block, where=block < edge, initial=0.0),
-                    np.min(block, where=block >= edge, initial=np.inf),
-                )
-
-            lower, upper = zip(*each_block(ends))
-            return np.array([max(lower), min(upper)])
-        lo, width = int(starts[0]), 1 << shift
-        below, inside = int(cum[first - 1]), int(counts[first])
-    kept, filled = np.empty(inside), 0
-    for block in _within_blocks(x, "euclidean"):
-        flat = block.reshape(-1)
-        bits = flat.view(np.int64)
-        keep = (bits >= lo) & (bits <= lo + width - 1)
-        n = int(np.count_nonzero(keep))
-        np.compress(keep, flat, out=kept[filled : filled + n])
-        filled += n
-        del block, flat, bits, keep  # before the next block is computed
-    kth = ranks - below
-    kept.partition(kth)
-    return kept[kth]
 
 
 def mmd(a, b, bandwidth: float) -> float:
@@ -322,12 +243,14 @@ def mmd(a, b, bandwidth: float) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise DomainError("sample sets must be 2-D arrays")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"sample sets have widths {a.shape[1]} and {b.shape[1]}")
     if not 0.0 < bandwidth < np.inf:
         raise DomainError(f"bandwidth must be finite and > 0, got {bandwidth}")
     first, second = a, b
     if (b.shape, b.tobytes()) < (a.shape, a.tobytes()):
         first, second = b, a
-    cross = _kernel_sum(_cross_blocks(first, second, "sqeuclidean"), bandwidth)
+    cross = _kernel_sum(_cross_blocks(first, second), bandwidth)
     cross *= 2.0 / (first.shape[0] * second.shape[0])
     return _within(a, bandwidth) + _within(b, bandwidth) - cross
 
@@ -348,7 +271,7 @@ def _within(x, bandwidth) -> float:
     if m < 2:
         raise DomainError("unbiased estimator needs >= 2 points per set")
     # Each unordered pair appears once; the symmetric sum doubles it.
-    return 2.0 * _kernel_sum(_within_blocks(x, "sqeuclidean"), bandwidth) / (m * (m - 1))
+    return 2.0 * _kernel_sum(_within_blocks(x), bandwidth) / (m * (m - 1))
 
 
 def _mixture_mmd(generated, means, sigma: float, bandwidth: float) -> float:
@@ -373,7 +296,7 @@ def _mixture_mmd(generated, means, sigma: float, bandwidth: float) -> float:
     within = sum(_within(x, bandwidth) for x in generated)
     for a in range(classes):
         for b in range(a + 1, classes):
-            pair = _kernel_sum(_cross_blocks(generated[a], generated[b], "sqeuclidean"), bandwidth)
+            pair = _kernel_sum(_cross_blocks(generated[a], generated[b]), bandwidth)
             within += 2.0 * pair / (n * n)
     cross = _smoothed_kernel_mean(generated.reshape(-1, dim), means, sigma**2, bandwidth)
     reference = _smoothed_kernel_mean(means, means, 2.0 * sigma**2, bandwidth)
@@ -386,7 +309,7 @@ def _smoothed_kernel_mean(x, means, variance: float, bandwidth: float) -> float:
     (h^2 / (h^2 + variance))^(d/2) exp(-||x_i - mu_c||^2 / (2 (h^2 + variance))).
     """
     h2 = bandwidth**2
-    total = _kernel_sum(_cross_blocks(x, means, "sqeuclidean"), math.sqrt(h2 + variance))
+    total = _kernel_sum(_cross_blocks(x, means), math.sqrt(h2 + variance))
     return (h2 / (h2 + variance)) ** (x.shape[1] / 2) * total / (len(x) * len(means))
 
 

@@ -13,7 +13,7 @@ from diffunlearn import diffusion
 from diffunlearn import evaluate as evaluate_mod
 from diffunlearn.data import MixtureSpec, circle_mixture
 from diffunlearn.diffusion import NoiseSchedule, ddpm_sample
-from diffunlearn.errors import DomainError, SamplingDiverged
+from diffunlearn.errors import DomainError, SamplingDiverged, ShapeError
 from diffunlearn.evaluate import (
     EvalConfig,
     EvalReport,
@@ -34,6 +34,47 @@ from gradcheck import (
 
 
 BLOCK_BYTES = 8 * evaluate_mod._BLOCK
+
+
+def _line_groups(first, second, value=1.0):
+    points = np.zeros((first + second, 1))
+    points[first:] = value
+    return points
+
+
+def _normal_set(m, repeat=False):
+    points = np.random.default_rng(m).standard_normal((m, 2))
+    return np.repeat(points[: m // 4 + 1], 4, axis=0) if repeat else points
+
+
+# Inputs on which median_bandwidth must give np.median(pdist(x)) bit for bit,
+# each built when its case runs.
+MEDIAN_INPUTS = {
+    # 19,900 pairs (even: mean of the two middle values) and 20,301 (odd:
+    # the middle value).
+    "200": lambda: _normal_set(200),
+    "202": lambda: _normal_set(202),
+    "m2": lambda: _normal_set(2),
+    "m3": lambda: _normal_set(3),
+    # 525,825 pairs (odd) and 1,999,000 (even).
+    "odd-pairs": lambda: _normal_set(1026),
+    "even-pairs": lambda: _normal_set(2000),
+    "repeated": lambda: np.repeat(
+        np.random.default_rng(20).standard_normal((250, 2)), 8, axis=0
+    ),
+    # 562,500 pairs at distance 1 hold both middle ranks.
+    "750-750": lambda: _line_groups(750, 750),
+    # 296,208 zero distances and as many ones: the middle ranks are 0 and 1.
+    "561-528": lambda: _line_groups(561, 528),
+    # The 562,500 cross distances all lie within 1e-9 of 1.3.
+    "jittered": lambda: _line_groups(750, 750, 1.3)
+    + 1e-10 * np.random.default_rng(21).standard_normal((1500, 1)),
+    "sorted": lambda: np.sort(
+        np.random.default_rng(22).standard_normal((1500, 2)), axis=0
+    ),
+    **{f"small-{m}": (lambda m=m: _normal_set(m)) for m in (13, 50, 66, 121)},
+    **{f"small-{m}-repeated": (lambda m=m: _normal_set(m, True)) for m in (13, 50, 66, 121)},
+}
 
 
 def two_blob_spec():
@@ -323,34 +364,45 @@ class TestMmd:
         assert mmd(a, b, 0.9) == full_matrix_mmd(a, b, 0.9)
         assert mmd(b, a, 0.9) == full_matrix_mmd(b, a, 0.9)
 
-    @pytest.mark.parametrize("n", [200, 202])
-    def test_median_bandwidth_matches_copied_median(self, n):
-        # 19,900 pairs (even: mean of the two middle values) and 20,301
-        # (odd: the middle value).
-        points = np.random.default_rng(n).standard_normal((n, 2))
+    @pytest.mark.parametrize("points", MEDIAN_INPUTS.values(), ids=MEDIAN_INPUTS.keys())
+    def test_median_bandwidth_matches_copied_median(self, points):
+        points = points()
         assert median_bandwidth(points) == copied_median_bandwidth(points)
+
+    def test_median_bandwidth_of_two_values(self):
+        # Two groups on a line hold the middle ranks at one value, or, at
+        # 561 and 528 points, split them between 0 and 1.
+        assert median_bandwidth(MEDIAN_INPUTS["750-750"]()) == 1.0
+        assert median_bandwidth(MEDIAN_INPUTS["561-528"]()) == 0.5
 
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_mmd_peak_allocation_is_bounded_by_blocks(self, n):
-        # The same bound at both sizes: peak memory is a block, not |a|x|b|.
+        # The same bound at both sizes: peak memory is a block, not |a|x|b|,
+        # for the sample-vs-sample form and for the one full_eval runs.
         g = np.random.default_rng(12)
         a = g.standard_normal((n, 2))
         b = g.standard_normal((n, 2))
-        peak = peak_allocation(mmd, a, b, 1.0)
+        assert peak_allocation(mmd, a, b, 1.0) <= 1.5 * BLOCK_BYTES
+        spec = circle_mixture()
+        means = spec.means[:4]
+        generated = means[:, None, :] + spec.sigma * g.standard_normal((4, n, 2))
+        peak = peak_allocation(evaluate_mod._mixture_mmd, generated, means, spec.sigma, 1.0)
         assert peak <= 1.5 * BLOCK_BYTES
-
-    @pytest.mark.parametrize("n", [2000, 4000])
-    def test_median_bandwidth_peak_allocation_is_bounded_by_blocks(self, n):
-        points = np.random.default_rng(13).standard_normal((n, 2))
-        peak = peak_allocation(median_bandwidth, points)
-        # One block of distances with its histogram, plus the gathered window.
-        assert peak <= 1.5 * BLOCK_BYTES + 8 * evaluate_mod._GATHER
 
     def test_median_bandwidth_needs_spread(self):
         with pytest.raises(DomainError):
             median_bandwidth(np.zeros((10, 2)))
         with pytest.raises(DomainError):
             median_bandwidth(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("shape", [(10,), (4, 5, 2)])
+    def test_median_bandwidth_rejects_non_2d_reference(self, shape):
+        with pytest.raises(DomainError, match="2-D"):
+            median_bandwidth(np.ones(shape))
+
+    def test_sets_of_different_widths_rejected(self):
+        with pytest.raises(ShapeError, match="widths 2 and 3"):
+            mmd(np.zeros((5, 2)), np.ones((5, 3)), 1.0)
 
     def test_non_finite_bandwidth_rejected(self):
         pts = np.random.default_rng(14).standard_normal((5, 2))
@@ -419,100 +471,6 @@ class TestStreamedMmd:
         target[-1, 0] = np.nan
         assert np.isnan(mmd(generated, reference, 1.0))
         assert np.isnan(mmd(reference, generated, 1.0))
-
-
-class TestStreamedMedian:
-    """median_bandwidth is np.median(pdist(x)) exactly, over several blocks.
-
-    At the real block size (2**17 values) a set of 513 points or more takes
-    more than one block. The number of passes depends on the gather window
-    (2**19 values) alone: a set needs 1025 points or more to take more than
-    one pass.
-    """
-
-    @staticmethod
-    def passes(monkeypatch, points):
-        """(value, number of passes over the distances) of median_bandwidth."""
-        calls = []
-        original = evaluate_mod._within_blocks
-
-        def counting(x, metric):
-            calls.append(metric)
-            return original(x, metric)
-
-        monkeypatch.setattr(evaluate_mod, "_within_blocks", counting)
-        return median_bandwidth(points), len(calls)
-
-    @pytest.mark.parametrize(
-        "m", [2, 3, 1026, 2000], ids=["m2", "m3", "odd-pairs", "even-pairs"]
-    )
-    def test_random_points(self, monkeypatch, m):
-        # 1026 points give 525,825 pairs (odd), 2000 give 1,999,000 (even).
-        points = np.random.default_rng(m).standard_normal((m, 2))
-        value, passes = self.passes(monkeypatch, points)
-        assert value == copied_median_bandwidth(points)
-        assert passes == (1 if m < 1025 else 2)
-
-    def test_passes_independent_of_block_size(self, monkeypatch):
-        # With 64 values a block the distances stream in 9,701 blocks,
-        # but the window is gathered at the same size, so 1026 points take
-        # the two passes they take at the real block.
-        monkeypatch.setattr(evaluate_mod, "_BLOCK", 64)
-        points = np.random.default_rng(1026).standard_normal((1026, 2))
-        value, passes = self.passes(monkeypatch, points)
-        assert value == copied_median_bandwidth(points)
-        assert passes == 2
-
-    def test_repeated_points(self, monkeypatch):
-        points = np.repeat(np.random.default_rng(20).standard_normal((250, 2)), 8, axis=0)
-        value, _ = self.passes(monkeypatch, points)
-        assert value == copied_median_bandwidth(points)
-
-    def test_middle_value_held_by_more_than_a_block(self, monkeypatch):
-        # Two groups of 750 on a line: 562,500 pairs at distance 1, more than
-        # the gather window, hold both middle ranks. The window narrows to
-        # that one value, which is the answer without a gathering pass.
-        points = np.zeros((1500, 1))
-        points[750:] = 1.0
-        value, passes = self.passes(monkeypatch, points)
-        assert value == copied_median_bandwidth(points) == 1.0
-        assert passes > 2
-
-    def test_middle_ranks_split_between_two_values(self, monkeypatch):
-        # 561 and 528 points: 296,208 zero distances and as many ones, so the
-        # even pair count's two middle ranks are 0 and 1.
-        points = np.zeros((1089, 1))
-        points[561:] = 1.0
-        value, _ = self.passes(monkeypatch, points)
-        assert value == copied_median_bandwidth(points) == 0.5
-
-    def test_clustered_distances_take_narrowing_passes(self, monkeypatch):
-        # Two jittered groups: the 562,500 cross distances, more than the
-        # gather window, all lie within 1e-9 of 1.3, so the first bin
-        # holding the middle ranks is too full to gather and further
-        # counting passes narrow it. (1 and 1.5 would sit on a first-pass bin edge and split.)
-        g = np.random.default_rng(21)
-        points = np.zeros((1500, 1))
-        points[750:] = 1.3
-        points += 1e-10 * g.standard_normal(points.shape)
-        value, passes = self.passes(monkeypatch, points)
-        assert value == copied_median_bandwidth(points)
-        assert passes > 2
-
-    def test_sorted_points(self):
-        points = np.sort(np.random.default_rng(22).standard_normal((1500, 2)), axis=0)
-        assert median_bandwidth(points) == copied_median_bandwidth(points)
-
-    @pytest.mark.parametrize("m", [13, 50, 66, 121])
-    def test_small_blocks(self, monkeypatch, m):
-        # A gather window as small as the block forces narrowing passes.
-        monkeypatch.setattr(evaluate_mod, "_BLOCK", 64)
-        monkeypatch.setattr(evaluate_mod, "_GATHER", 64)
-        g = np.random.default_rng(m)
-        points = g.standard_normal((m, 2))
-        assert median_bandwidth(points) == copied_median_bandwidth(points)
-        repeated = np.repeat(points[: m // 4 + 1], 4, axis=0)
-        assert median_bandwidth(repeated) == copied_median_bandwidth(repeated)
 
 
 class TestFullEval:
@@ -586,6 +544,20 @@ class TestFullEval:
             got = full_eval(toy3.model, 1, toy3.spec, toy3.schedule, config, 5)
             assert got == want
             assert np.float64(got.mmd).tobytes() == np.float64(want.mmd).tobytes()
+
+    @pytest.mark.parametrize("bandwidth", (None, 1.5))
+    def test_needs_no_sample_vs_sample_form(self, toy3, monkeypatch, bandwidth):
+        # The MMD and its default bandwidth come from the mixture, so neither
+        # the streamed mmd nor the one-array median_bandwidth runs.
+        def forbidden(*args):
+            raise AssertionError("full_eval called a sample-vs-sample form")
+
+        monkeypatch.setattr(evaluate_mod, "median_bandwidth", forbidden)
+        monkeypatch.setattr(evaluate_mod, "mmd", forbidden)
+        config = EvalConfig(n_per_condition=100, bandwidth=bandwidth)
+        report = full_eval(toy3.model, 0, toy3.spec, toy3.schedule, config, 8)
+        assert np.isfinite(report.mmd)
+        assert bandwidth is None or report.bandwidth == bandwidth
 
     def test_deterministic_per_seed(self, toy3):
         config = EvalConfig(n_per_condition=100)

@@ -63,6 +63,22 @@ def write_jsonl(path, records) -> None:
     write_lines(path, map(_STRICT.encode, records))
 
 
+def read_json(path, error, what: str):
+    """The JSON document at ``path``. A file that is missing, unreadable (a
+    directory, not UTF-8) or not valid JSON raises ``error`` naming it as ``what``."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{what} {path} is unreadable: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def read_jsonl(path) -> list:
     """Every non-blank line of a JSONL file, parsed."""
     with Path(path).open() as fh:

@@ -11,17 +11,40 @@ pattern exactly. Version 1, a list of shortest round-trip decimals, is read.
 from __future__ import annotations
 
 import base64
-import json
-from pathlib import Path
+import dataclasses
 
 import numpy as np
 
 from . import artifacts
+from .config import _build
 from .diffusion import NoiseSchedule
-from .errors import CheckpointError
+from .errors import CheckpointError, DomainError
 from .nn import NoisePredictor
 
 CHECKPOINT_VERSION = 2
+
+
+@dataclasses.dataclass(frozen=True)
+class _Architecture:
+    """The architecture section. Embedding rows are added to the first
+    pre-activation, so both embedding widths are the first hidden width."""
+
+    input_dim: int
+    hidden_dims: tuple[int, ...]
+    num_classes: int
+    num_timesteps: int
+    time_embed_dim: int
+    class_embed_dim: int
+
+    def __post_init__(self):
+        for name in ("time_embed_dim", "class_embed_dim"):
+            width = getattr(self, name)
+            # An empty hidden_dims is NoisePredictor's to reject.
+            if self.hidden_dims and width != self.hidden_dims[0]:
+                raise DomainError(
+                    f"{name} {width} differs from the first hidden width "
+                    f"{self.hidden_dims[0]}"
+                )
 
 
 def checkpoint_dict(
@@ -33,21 +56,14 @@ def checkpoint_dict(
 ) -> dict:
     if not np.isfinite(model.params).all():
         raise ValueError("cannot save non-finite parameters")
+    h0 = model.hidden_dims[0]
+    arch = _Architecture(
+        model.input_dim, model.hidden_dims, model.num_classes, model.num_timesteps, h0, h0
+    )
     return {
         "version": CHECKPOINT_VERSION,
-        "architecture": {
-            "input_dim": model.input_dim,
-            "hidden_dims": list(model.hidden_dims),
-            "num_classes": model.num_classes,
-            "num_timesteps": model.num_timesteps,
-            "time_embed_dim": model.hidden_dims[0],
-            "class_embed_dim": model.hidden_dims[0],
-        },
-        "schedule": {
-            "num_timesteps": schedule.num_timesteps,
-            "beta_min": float(schedule.beta_min),
-            "beta_max": float(schedule.beta_max),
-        },
+        "architecture": dataclasses.asdict(arch),
+        "schedule": dataclasses.asdict(schedule),
         "params": base64.b64encode(model.params.astype("<f8").tobytes()).decode(),
         "provenance": {
             "config_hash": config_hash,
@@ -71,25 +87,15 @@ def save_checkpoint(path, model, schedule, beta_min, beta_max, **provenance) -> 
 def load_checkpoint(path):
     """Load a checkpoint file, version 1 or 2.
 
-    Returns (model, schedule, provenance dict). Unknown versions, params
-    that do not decode (version 1's must be a flat list of JSON numbers),
-    non-finite parameters, fields of the wrong type (the sizes must be JSON
-    integers, not floats or booleans, and provenance an object), embedding
-    widths other than the first hidden width, parameter vectors that do not
-    match the declared architecture and schedules longer than the timestep
-    table are rejected with an error naming the file, not guessed at.
+    Returns (model, schedule, provenance dict). The architecture and schedule
+    sections are typed by the config's rules, with every key required.
+    Unknown versions, params that do not decode (version 1's must be a flat
+    list of JSON numbers), non-finite parameters, provenance that is not an
+    object, parameter vectors that do not match the declared architecture and
+    schedules longer than the timestep table are rejected with an error
+    naming the file, not guessed at.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    doc = artifacts.read_json(path, CheckpointError, "checkpoint")
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointError(f"checkpoint {path} has no version field")
     version = doc["version"]
@@ -101,7 +107,6 @@ def load_checkpoint(path):
     for section in ("architecture", "schedule", "params"):
         if section not in doc:
             raise CheckpointError(f"checkpoint {path} is missing '{section}'")
-    arch = doc["architecture"]
     try:
         if version == 1:
             values = doc["params"]
@@ -116,44 +121,13 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path}: unreadable params: {exc}") from exc
     if not np.isfinite(params).all():
         raise CheckpointError(f"checkpoint {path} holds non-finite parameters")
-
-    def integer(name, value):
-        # A TypeError, which the handlers below prefix with the file once.
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        return value
-
     try:
+        arch = _build("architecture", _Architecture, doc["architecture"], complete=True)
+        schedule = _build("schedule", NoiseSchedule, doc["schedule"], complete=True)
         model = NoisePredictor(
-            input_dim=integer("input_dim", arch["input_dim"]),
-            hidden_dims=tuple(integer("hidden_dims", d) for d in arch["hidden_dims"]),
-            num_classes=integer("num_classes", arch["num_classes"]),
-            num_timesteps=integer("num_timesteps", arch["num_timesteps"]),
-            params=params,
+            arch.input_dim, arch.hidden_dims, arch.num_classes, arch.num_timesteps, params
         )
-        # Embedding rows are added to the first pre-activation.
-        for name in ("time_embed_dim", "class_embed_dim"):
-            if integer(name, arch[name]) != model.hidden_dims[0]:
-                raise ValueError(
-                    f"{name} {arch[name]} differs from the first hidden width "
-                    f"{model.hidden_dims[0]}"
-                )
-    except KeyError as exc:
-        raise CheckpointError(
-            f"checkpoint {path} architecture is missing {exc}"
-        ) from exc
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
-    sched = doc["schedule"]
-    try:
-        schedule = NoiseSchedule(
-            integer("schedule num_timesteps", sched["num_timesteps"]),
-            sched["beta_min"],
-            sched["beta_max"],
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint {path} schedule is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     if schedule.num_timesteps > model.num_timesteps:
         raise CheckpointError(

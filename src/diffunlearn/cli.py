@@ -22,7 +22,6 @@ from .config import (
     config_from_dict,
     config_hash,
     default_config_dict,
-    load_config_dict,
     stage_seed,
 )
 from .data import save_dataset
@@ -98,7 +97,7 @@ def resolve_config(args):
     validated view so callers can hash exactly what ran.
     """
     if args.config is not None:
-        raw = load_config_dict(args.config)
+        raw = artifacts.read_json(args.config, ConfigError, "config file")
     else:
         raw = default_config_dict()
     flags = {

@@ -18,7 +18,6 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -228,11 +227,15 @@ def _field_value(path: str, hint, value):
 _type_hints = functools.cache(typing.get_type_hints)
 
 
-def _build(path: str, cls, raw: dict):
-    """A dataclass from a JSON object, each value typed by its annotation."""
+def _build(path: str, cls, raw: dict, complete: bool = False):
+    """A dataclass from a JSON object, each value typed by its annotation;
+    with ``complete`` every field must be present, so no default fills a gap."""
     if not isinstance(raw, dict):
         raise ConfigError(f"section '{path}' must be an object")
     hints = _type_hints(cls)
+    missing = [key for key in hints if key not in raw] if complete else []
+    if missing:
+        raise ConfigError(f"section '{path}' is missing '{missing[0]}'")
     kwargs = {}
     for key, value in raw.items():
         dotted = f"{path}.{key}" if path else key
@@ -253,20 +256,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     return _build("", RunConfig, raw)
-
-
-def load_config_dict(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} is unreadable: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
 def apply_overrides(raw: dict, assignments) -> dict:

@@ -161,9 +161,11 @@ def param_count(
     num_classes: int,
     num_timesteps: int,
 ) -> int:
-    """Number of parameters for the given architecture."""
-    layout = _layout(input_dim, tuple(hidden_dims), num_classes, num_timesteps)
-    return layout.class_table.stop
+    """Number of parameters for the given architecture, in closed form, so a
+    size read from a file is checked before ``_layout`` allocates for it."""
+    dims = [input_dim, *hidden_dims, input_dim]
+    layers = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    return layers + (num_timesteps + num_classes + 1) * hidden_dims[0]
 
 
 def init_model(

@@ -288,18 +288,23 @@ def experiment():
         for i, strat in enumerate(strategies)
     }
 
-    cases = {1: {"ra": [], "mmd": []}, 2: {"ra": [], "mmd": []}}
-    for s in RUN_SEEDS:
-        rows, _ = harness.run_diversity_ablation(
-            dataclasses.replace(config, seed=s), model, data, spec, schedule
-        )
-        for row in rows:
-            if row["strategy"] == "restricted":
-                cases[row["case"]]["ra"].append(row["ra"])
-                cases[row["case"]]["mmd"].append(row["mmd"])
+    # The diversity ablation's restricted cells, the only ones criterion 6
+    # reads: case 1 draws the remain set from the similar classes, case 2
+    # balanced across all retained ones.
+    compositions = ("similar", "balanced")
+    cells = [
+        (s, {"diversity": mode, "strategy": "restricted"})
+        for s in RUN_SEEDS
+        for mode in compositions
+    ]
+    rows = harness.run_cells(config, model, data, spec, schedule, cells)
+    assert [row["status"] for row in rows] == ["ok"] * len(cells)
     ablation = {
-        case: {key: float(np.median(vals)) for key, vals in metrics.items()}
-        for case, metrics in cases.items()
+        case: {
+            metric: float(np.median([row[metric] for row in rows[i :: len(compositions)]]))
+            for metric in ("ra", "mmd")
+        }
+        for i, case in enumerate((1, 2))
     }
 
     variances = {"restricted": [], "graddiff": []}

@@ -2,6 +2,8 @@
 
 import base64
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from diffunlearn.checkpoint import (
 )
 from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.errors import CheckpointError
-from diffunlearn.nn import init_model
+from diffunlearn.nn import _layout, init_model
 
 
 @pytest.fixture
@@ -188,6 +190,7 @@ def test_bad_params_rejected_naming_file(tmp_path, small_model, schedule, case):
 MALFORMED_FIELDS = {
     "architecture-list": ("architecture", None, []),
     "hidden-dims-number": ("architecture", "hidden_dims", 5),
+    "hidden-dims-empty": ("architecture", "hidden_dims", []),
     "input-dim-string": ("architecture", "input_dim", "2"),
     "schedule-list": ("schedule", None, []),
     "num-timesteps-string": ("schedule", "num_timesteps", "4"),
@@ -208,11 +211,16 @@ NON_INTEGER_FIELDS = {
     "class-embed-dim-bool": ("architecture", "class_embed_dim", True),
     "num-timesteps-float": ("schedule", "num_timesteps", 4.0),
 }
+# Keys the format does not have, rejected as the config rejects them.
+UNKNOWN_FIELDS = {
+    "unknown-architecture-key": ("architecture", "depth", 2),
+    "unknown-schedule-key": ("schedule", "beta_mid", 0.05),
+}
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_FIELDS, *NON_INTEGER_FIELDS])
+@pytest.mark.parametrize("case", [*MALFORMED_FIELDS, *NON_INTEGER_FIELDS, *UNKNOWN_FIELDS])
 def test_malformed_field_rejected_naming_file(tmp_path, small_model, schedule, case):
-    section, field, value = {**MALFORMED_FIELDS, **NON_INTEGER_FIELDS}[case]
+    section, field, value = {**MALFORMED_FIELDS, **NON_INTEGER_FIELDS, **UNKNOWN_FIELDS}[case]
     path = tmp_path / "ck.json"
     save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
     doc = json.loads(path.read_text())
@@ -221,21 +229,60 @@ def test_malformed_field_rejected_naming_file(tmp_path, small_model, schedule, c
     else:
         doc[section][field] = value
     path.write_text(json.dumps(doc))
-    match = "ck.json.*must be an integer" if case in NON_INTEGER_FIELDS else "ck.json"
+    dotted = re.escape(f"'{section}.{field}")
+    if case in NON_INTEGER_FIELDS:
+        match = rf"ck\.json: field {dotted}(\[0\])?' must be int, got"
+    elif case in UNKNOWN_FIELDS:
+        match = rf"ck\.json: unknown field {dotted}'"
+    else:
+        match = rf"ck\.json.*{field or section}"
     with pytest.raises(CheckpointError, match=match) as err:
         load_checkpoint(path)
     assert str(err.value).count("ck.json") == 1, str(err.value)
 
 
-@pytest.mark.parametrize("field", ["time_embed_dim", "class_embed_dim"])
-def test_missing_embed_width_rejected(tmp_path, small_model, schedule, field):
+SECTION_KEYS = [
+    *(f"schedule.{key}" for key in ("num_timesteps", "beta_min", "beta_max")),
+    *(
+        f"architecture.{key}"
+        for key in ("input_dim", "hidden_dims", "num_classes", "num_timesteps",
+                    "time_embed_dim", "class_embed_dim")
+    ),
+]
+
+
+@pytest.mark.parametrize("dotted", SECTION_KEYS)
+def test_missing_section_key_rejected(tmp_path, small_model, schedule, dotted):
+    # No default fills the gap, though NoiseSchedule has one for each key.
+    section, key = dotted.split(".")
     path = tmp_path / "ck.json"
     save_checkpoint(path, small_model, schedule, 1e-4, 0.1)
     doc = json.loads(path.read_text())
-    del doc["architecture"][field]
+    del doc[section][key]
     path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match=f"ck.json.*missing '{field}'"):
+    with pytest.raises(CheckpointError, match=f"ck.json.*missing '{key}'") as err:
         load_checkpoint(path)
+    assert str(err.value).count("ck.json") == 1, str(err.value)
+
+
+def test_declared_sizes_get_no_memory_before_the_check(tmp_path, schedule):
+    # A layout for 10**5 timesteps at width 64 holds a 49 MiB table index.
+    model = init_model(2, (64,), num_classes=3, num_timesteps=8, rng=np.random.default_rng(0))
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, model, schedule, 1e-4, 0.1)
+    doc = json.loads(path.read_text())
+    doc["architecture"]["num_timesteps"] = 10**5
+    path.write_text(json.dumps(doc))
+    cached = _layout.cache_info()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="ck.json.*architecture needs"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert _layout.cache_info() == cached
 
 
 def test_betas_differing_from_schedule_rejected(tmp_path, small_model):

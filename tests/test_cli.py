@@ -431,6 +431,26 @@ class TestExitCodes:
         assert "not found" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["schedule"].pop("beta_max"),
+            lambda doc: doc["architecture"].update(num_classes=3.0),
+            lambda doc: doc["architecture"].update(depth=2),
+        ],
+        ids=["missing-key", "float-size", "unknown-key"],
+    )
+    def test_malformed_checkpoint_is_runtime_error_naming_it(
+        self, trained, cfg_path, capsys, edit
+    ):
+        path = trained / "pretrained.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        rc = main(["eval", "--config", str(cfg_path), "--out", str(trained)])
+        assert rc == 2
+        assert capsys.readouterr().err.count(str(path)) == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             # Balanced: 4 per class from classes holding 3 each.

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from diffunlearn.artifacts import read_json
 from diffunlearn.cli import main
 from diffunlearn.config import (
     RunConfig,
@@ -11,7 +12,6 @@ from diffunlearn.config import (
     config_from_dict,
     config_hash,
     default_config_dict,
-    load_config_dict,
     stage_seed,
 )
 from diffunlearn.errors import ConfigError, DomainError
@@ -152,19 +152,19 @@ def test_explicit_means_build_mixture():
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 11}))
-    assert config_from_dict(load_config_dict(path)).seed == 11
+    assert config_from_dict(read_json(path, ConfigError, "config file")).seed == 11
 
 
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
-        load_config_dict(tmp_path / "absent.json")
+        read_json(tmp_path / "absent.json", ConfigError, "config file")
 
 
 def test_load_config_invalid_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
-        load_config_dict(path)
+        read_json(path, ConfigError, "config file")
 
 
 class TestOverrides:

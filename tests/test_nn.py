@@ -11,6 +11,7 @@ from diffunlearn.diffusion import NoiseSchedule
 from diffunlearn.errors import DomainError, ShapeError
 from diffunlearn.nn import (
     NoisePredictor,
+    _layout,
     backward_from_activations,
     forward_activations,
     init_model,
@@ -79,6 +80,10 @@ class TestModelConstruction:
     def test_param_count_matches_layout(self):
         # 1->2: 2+2, 2->1: 2+1, time 3*2, class (2+1)*2
         assert param_count(1, (2,), 2, 3) == 2 + 2 + 2 + 1 + 6 + 6
+        # The closed form against the layout, whose class table ends the vector;
+        # the last two have more classes than timesteps and the reverse.
+        for arch in [(2, (6, 4), 3, 8), (3, (5, 7, 2), 1, 1), (2, (4,), 9, 2)]:
+            assert param_count(*arch) == _layout(*arch).class_table.stop
 
     def test_wrong_param_length_rejected(self):
         with pytest.raises(ShapeError):

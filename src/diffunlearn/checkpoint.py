@@ -123,17 +123,21 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} holds non-finite parameters")
     try:
         arch = _build("architecture", _Architecture, doc["architecture"], complete=True)
-        schedule = _build("schedule", NoiseSchedule, doc["schedule"], complete=True)
+        # Compared before NoiseSchedule allocates its vectors for the length;
+        # a length that is not an int is _build's to reject.
+        section = doc["schedule"]
+        steps = section.get("num_timesteps") if isinstance(section, dict) else None
+        if type(steps) is int and steps > arch.num_timesteps:
+            raise DomainError(
+                f"schedule has {steps} timesteps "
+                f"but the timestep table has {arch.num_timesteps} rows"
+            )
+        schedule = _build("schedule", NoiseSchedule, section, complete=True)
         model = NoisePredictor(
             arch.input_dim, arch.hidden_dims, arch.num_classes, arch.num_timesteps, params
         )
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
-    if schedule.num_timesteps > model.num_timesteps:
-        raise CheckpointError(
-            f"checkpoint {path}: schedule has {schedule.num_timesteps} timesteps "
-            f"but the timestep table has {model.num_timesteps} rows"
-        )
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise CheckpointError(f"checkpoint {path}: provenance must be an object")

@@ -23,8 +23,9 @@ class MixtureSpec:
 
     Attributes:
         num_classes: Number of components K, at least 2.
-        means: Component centers, shape (K, input_dim), pairwise distinct.
-        sigma: Shared per-coordinate standard deviation, positive.
+        means: Component centers, shape (K, input_dim), finite and
+            pairwise distinct.
+        sigma: Shared per-coordinate standard deviation, positive and finite.
         samples_per_class: Draw count per component.
     """
 
@@ -41,8 +42,11 @@ class MixtureSpec:
             raise ShapeError(
                 f"means has shape {means.shape}, expected ({self.num_classes}, dim)"
             )
-        if self.sigma <= 0.0:
-            raise DomainError("sigma must be positive")
+        # Every comparison with NaN is false, so only a valid sigma passes.
+        if not 0.0 < self.sigma < np.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        if not np.isfinite(means).all():
+            raise DomainError("means must be finite")
         if self.samples_per_class < 1:
             raise DomainError("samples_per_class must be at least 1")
         for i in range(self.num_classes):

@@ -25,7 +25,6 @@ from .nn import (
     NoisePredictor,
     _class_rows,
     _forward,
-    _row_selection,
     _timestep_rows,
     squared_error_backward,
 )
@@ -139,8 +138,7 @@ def _check_sets(model: NoisePredictor, schedule: NoiseSchedule, *sets) -> None:
                 f"points have {data.points.shape[1]} columns, "
                 f"model takes {model.input_dim}"
             )
-        if data.labels.max() >= model.num_classes:
-            raise DomainError(f"class ids must lie in 0..{model.num_classes - 1}")
+        _class_rows(model, data.labels, len(data))
     if model.num_timesteps < schedule.num_timesteps:
         raise DomainError("model timestep table is smaller than the schedule horizon")
 
@@ -201,9 +199,10 @@ def ddpm_sample(
     Checked once on entry: ``class_id`` in every form :func:`nn.mlp_forward`
     accepts, then the count and the model's timestep table (see
     :func:`_sample`). This is the one-condition case of the lock-step
-    sampler: a scalar class or None is a one-row selection that broadcasts,
-    a per-sample array a (1, n) row selection. It pre-draws nothing, so its
-    draws and the generator's state afterwards are those of a per-step loop.
+    sampler: a scalar class or None selects its one row, (1, 1), which
+    broadcasts over the n chains, and a per-sample array its (1, n) rows.
+    It pre-draws nothing, so its draws and the generator's state afterwards
+    are those of a per-step loop.
 
     Args:
         model: Noise predictor; its num_timesteps must cover the schedule.
@@ -213,8 +212,7 @@ def ddpm_sample(
         schedule: Forward schedule the model was trained against.
         rng: Integer seed or numpy Generator.
     """
-    rows = _class_rows(model, class_id, n)
-    c_select = _row_selection(rows, class_id).reshape(1, -1)
+    c_select = _class_rows(model, class_id, n if np.ndim(class_id) else 1).reshape(1, -1)
     gen, seed = as_generator(rng)
     (samples,) = _sample(model, c_select, n, schedule, gen)
     return SamplerOutput(samples=samples, seed=seed)
@@ -282,9 +280,12 @@ def _sample(model: NoisePredictor, c_select, n: int, schedule: NoiseSchedule, ge
 
     ``c_select`` holds C class-table row selections, shape (C, 1) for one
     class per condition or (1, n) for a class per sample; its rows must be
-    checked. Checked here: the count and the model's timestep table. The
-    three per-step coefficients are precomputed as vectors; correctly
-    rounded sqrt and division give the same bits as the per-step scalars.
+    checked. Each step broadcasts one timestep row over every chain, and a
+    (C, 1) selection one class row over each condition's chains, where the
+    checked forward pass gathers a row per sample. Checked here: the count
+    and the model's timestep table. The three per-step coefficients are
+    precomputed as vectors; correctly rounded sqrt and division give the
+    same bits as the per-step scalars.
     Conditions run in lock-step groups of at most _ROWS rows (one condition
     when n exceeds it) and _NOISE_ROWS pre-drawn noise rows, each through
     :func:`_chains` with its own hidden buffers and :func:`_noise`.

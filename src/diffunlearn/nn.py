@@ -234,12 +234,6 @@ def _class_rows(model: NoisePredictor, class_id, batch: int) -> np.ndarray:
     return _checked_rows(class_id, batch, 0, model.num_classes - 1, "class ids")
 
 
-def _row_selection(rows, given):
-    """The table rows a forward pass adds: ``rows`` itself for a per-sample
-    ``given``, else its first entry alone, whose one row broadcasts."""
-    return rows if np.ndim(given) else rows[:1]
-
-
 def _forward(views, x, t_select, c_select, hidden=None) -> list:
     """The layer arithmetic of the forward pass, with nothing checked.
 
@@ -247,15 +241,16 @@ def _forward(views, x, t_select, c_select, hidden=None) -> list:
     (batch, input_dim) float64 array, or a stack of them, which the
     sampler's lock-step loop passes. ``t_select`` and ``c_select`` index
     the timestep and class tables for the rows added to the first
-    pre-activation: a (batch,) array with one row per sample, or a
-    selection of one row (a length-one array or slice), which broadcasts;
-    both give the same bytes. Each table term is gathered just before it is
-    added, so no gathered copy outlives its addition. Each layer is built
-    in one buffer, adding bias and table terms in place in a fixed order: a
-    new array, or the caller's (batch, width) buffer ``hidden[k]`` for
-    hidden layer k, which lets a loop reuse its buffers. Returns the
-    activations: the input, each hidden tanh output and the linear network
-    output.
+    pre-activation. Checked calls and ``_corrupted_pass`` pass (batch,)
+    arrays and gather one row per sample. The sampler passes a one-row
+    timestep slice and, for a condition of one class, a one-row class
+    selection, each broadcast over the condition's chains. Each table term
+    is gathered just before it is added, so no gathered copy outlives its
+    addition. Each layer is built in one buffer, adding bias and table
+    terms in place in a fixed order: a new array, or the caller's (batch,
+    width) buffer ``hidden[k]`` for hidden layer k, which lets a loop reuse
+    its buffers. Returns the activations: the input, each hidden tanh
+    output and the linear network output.
 
     The checked wrappers :func:`forward_activations` and :func:`mlp_forward`
     share this kernel with the sampler and ``_corrupted_pass`` in
@@ -328,10 +323,9 @@ def forward_activations(model: NoisePredictor, x, t, class_id):
     the backward pass; most callers want :func:`mlp_forward`.
 
     Checks the input's shape, the timesteps and the class ids (a scalar,
-    a per-sample array or None), then runs the :func:`_forward` kernel. A
-    scalar timestep or class (or None) adds its one table row by
-    broadcasting; per-sample arrays gather a row per sample. Both give the
-    same bytes.
+    a per-sample array or None), then runs the :func:`_forward` kernel on
+    the checked rows, so it gathers one table row per sample whatever form
+    ``t`` and ``class_id`` take, as the training loops do.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -341,13 +335,7 @@ def forward_activations(model: NoisePredictor, x, t, class_id):
     batch = x.shape[0]
     t_rows = _timestep_rows(model.num_timesteps, t, batch)
     c_rows = _class_rows(model, class_id, batch)
-    acts = _forward(
-        model.unpack(),
-        x,
-        _row_selection(t_rows, t),
-        _row_selection(c_rows, class_id),
-    )
-    return acts, t_rows, c_rows
+    return _forward(model.unpack(), x, t_rows, c_rows), t_rows, c_rows
 
 
 def mlp_forward(model: NoisePredictor, x_t, t, class_id=None) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Oracles shared by the tests: central differences, the reference
-``np.add.at`` backward pass, out-of-place references for the forward pass and
-the kernel statistics, per-step references for the pretraining loop, the
-sampler, the evaluation's per-condition sampling and the unlearning loop with
-its stratified remain draw, a ``project_away``-based restricted combination,
-and a peak-allocation probe."""
+"""Oracles shared by the tests: central differences and the small random
+models they check, the reference ``np.add.at`` backward pass, out-of-place
+references for the forward pass and the kernel statistics, per-step
+references for the pretraining loop, the sampler, the evaluation's
+per-condition sampling and the unlearning loop with its stratified remain
+draw, a ``project_away``-based restricted combination, and a
+peak-allocation probe."""
 
 import logging
 import math
@@ -14,7 +15,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from diffunlearn.diffusion import diffusion_loss
 from diffunlearn.errors import DegenerateGradientError, DomainError, TrainingDiverged
-from diffunlearn.nn import _forward, mlp_forward
+from diffunlearn.nn import _forward, init_model, mlp_forward
 from diffunlearn.projection import inner
 from diffunlearn.rngs import as_generator
 from diffunlearn.unlearn import StepReport, forgetting_loss, parse_strategy
@@ -37,6 +38,24 @@ def finite_diff_grad(loss_fn, params: np.ndarray, h: float) -> np.ndarray:
         down = loss_fn(bumped)
         grad[i] = (up - down) / (2.0 * h)
     return grad
+
+
+def random_model(rng, max_hidden=6):
+    """Small random architecture with nonzero tables for gradient checks."""
+    input_dim = int(rng.integers(1, 4))
+    depth = int(rng.integers(1, 3))
+    h0 = int(rng.integers(2, max_hidden))
+    hidden = (h0,) + tuple(int(rng.integers(2, max_hidden)) for _ in range(depth - 1))
+    model = init_model(
+        input_dim=input_dim,
+        hidden_dims=hidden,
+        num_classes=int(rng.integers(1, 4)),
+        num_timesteps=int(rng.integers(1, 5)),
+        rng=rng,
+    )
+    # Embedding tables and biases start at zero; perturb everything so the
+    # finite-difference check exercises every parameter block.
+    return model.with_params(model.params + 0.1 * rng.standard_normal(model.num_params))
 
 
 def mean_squared_error(model, x, targets, t, class_ids) -> float:

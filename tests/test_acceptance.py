@@ -26,10 +26,10 @@ from diffunlearn.checkpoint import load_checkpoint, save_checkpoint
 from diffunlearn.cli import main
 from diffunlearn.config import config_from_dict, default_config_dict
 from diffunlearn.data import remain_set
-from diffunlearn.nn import init_model, squared_error_backward
+from diffunlearn.nn import squared_error_backward
 from diffunlearn.projection import project_away, restricted_gradient
 from diffunlearn.prompts import PromptTemplateSpec, gen_prompt_pairs, render_pair
-from gradcheck import finite_diff_grad, mean_squared_error
+from gradcheck import finite_diff_grad, mean_squared_error, random_model
 
 RUN_SEEDS = (101, 102, 103)
 
@@ -195,23 +195,6 @@ def test_gradient_is_steepest_ascent_direction(margin):
 # -- criterion 4: network gradients vs finite differences ---------------------
 
 
-def random_small_model(rng, max_hidden=6):
-    input_dim = int(rng.integers(1, 4))
-    depth = int(rng.integers(1, 3))
-    h0 = int(rng.integers(2, max_hidden))
-    hidden = (h0,) + tuple(int(rng.integers(2, max_hidden)) for _ in range(depth - 1))
-    model = init_model(
-        input_dim=input_dim,
-        hidden_dims=hidden,
-        num_classes=int(rng.integers(1, 4)),
-        num_timesteps=int(rng.integers(1, 5)),
-        rng=rng,
-    )
-    # Tables and biases start at zero; perturb everything so the check
-    # exercises every parameter block.
-    return model.with_params(model.params + 0.1 * rng.standard_normal(model.num_params))
-
-
 @pytest.mark.acceptance(
     criterion=4,
     label="hand-written network gradients match central differences",
@@ -221,7 +204,7 @@ def test_network_gradients_match_finite_differences(margin):
     rng = np.random.default_rng(4900)
     worst = 0.0
     for _ in range(100):
-        model = random_small_model(rng)
+        model = random_model(rng)
         batch = int(rng.integers(1, 5))
         x = rng.standard_normal((batch, model.input_dim))
         targets = rng.standard_normal((batch, model.input_dim))

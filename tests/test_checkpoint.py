@@ -265,18 +265,25 @@ def test_missing_section_key_rejected(tmp_path, small_model, schedule, dotted):
     assert str(err.value).count("ck.json") == 1, str(err.value)
 
 
-def test_declared_sizes_get_no_memory_before_the_check(tmp_path, schedule):
+@pytest.mark.parametrize("section, steps, message", [
     # A layout for 10**5 timesteps at width 64 holds a 49 MiB table index.
+    ("architecture", 10**5, "architecture needs"),
+    # A 10**6-step schedule's four vectors take 24 MiB.
+    ("schedule", 10**6, "schedule has 1000000 timesteps but the timestep table has 8 rows"),
+], ids=["architecture", "schedule"])
+def test_declared_sizes_get_no_memory_before_the_check(
+    tmp_path, schedule, section, steps, message
+):
     model = init_model(2, (64,), num_classes=3, num_timesteps=8, rng=np.random.default_rng(0))
     path = tmp_path / "ck.json"
     save_checkpoint(path, model, schedule, 1e-4, 0.1)
     doc = json.loads(path.read_text())
-    doc["architecture"]["num_timesteps"] = 10**5
+    doc[section]["num_timesteps"] = steps
     path.write_text(json.dumps(doc))
     cached = _layout.cache_info()
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointError, match="ck.json.*architecture needs"):
+        with pytest.raises(CheckpointError, match=f"ck.json.*{message}"):
             load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

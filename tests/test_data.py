@@ -37,8 +37,21 @@ class TestMixtureSpec:
             MixtureSpec(2, np.zeros((2, 2)), 1.0, 10)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(DomainError):
-            MixtureSpec(2, np.array([[0.0, 0.0], [1.0, 1.0]]), 0.0, 10)
+        # A NaN or infinite sigma would draw non-finite points.
+        for sigma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="sigma"):
+                MixtureSpec(2, np.array([[0.0, 0.0], [1.0, 1.0]]), sigma, 10)
+            with pytest.raises(DomainError, match="sigma"):
+                circle_mixture(sigma=sigma)
+
+    @pytest.mark.parametrize("build", [
+        lambda: MixtureSpec(2, [[0.0, np.inf], [1.0, 0.0]], 0.3, 5),
+        lambda: MixtureSpec(2, [[np.nan, 0.0], [1.0, 0.0]], 0.3, 5),
+        lambda: circle_mixture(radius=np.nan),
+    ], ids=["inf_mean", "nan_mean", "nan_radius"])
+    def test_rejects_non_finite_means(self, build):
+        with pytest.raises(DomainError, match="means must be finite"):
+            build()
 
     def test_rejects_mean_count_mismatch(self):
         with pytest.raises(ShapeError):

@@ -26,6 +26,7 @@ from gradcheck import (
     finite_diff_grad,
     gathered_forward,
     mean_squared_error,
+    random_model,
 )
 
 
@@ -56,24 +57,6 @@ def tiny_model():
         num_timesteps=3,
         params=params,
     )
-
-
-def random_model(rng, max_hidden=6):
-    """Small random architecture with nonzero tables for gradient checks."""
-    input_dim = int(rng.integers(1, 4))
-    depth = int(rng.integers(1, 3))
-    h0 = int(rng.integers(2, max_hidden))
-    hidden = (h0,) + tuple(int(rng.integers(2, max_hidden)) for _ in range(depth - 1))
-    model = init_model(
-        input_dim=input_dim,
-        hidden_dims=hidden,
-        num_classes=int(rng.integers(1, 4)),
-        num_timesteps=int(rng.integers(1, 5)),
-        rng=rng,
-    )
-    # Embedding tables and biases start at zero; perturb everything so the
-    # finite-difference check exercises every parameter block.
-    return model.with_params(model.params + 0.1 * rng.standard_normal(model.num_params))
 
 
 class TestModelConstruction:
@@ -431,8 +414,8 @@ def test_embedding_scatter_matches_add_at_oracle(case):
     ],
 )
 def test_forward_matches_gathered_reference(case):
-    # In-place layers and broadcast table rows must give the bytes of the
-    # out-of-place forward with one gathered table row per sample.
+    # Layers built in place, adding bias and table terms into one buffer,
+    # must give the bytes of the out-of-place chained forward.
     rng = np.random.default_rng(23)
     hidden = {"one_hidden_layer": (64,), "three_hidden_layers": (64, 32, 48)}
     model = init_model(

@@ -100,7 +100,7 @@ def write_rows_csv(path, columns, rows) -> None:
 
 def read_rows_csv(path, columns) -> list[dict]:
     """Read back a fixed-column CSV; numeric text becomes int or float."""
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if tuple(header or ()) != tuple(columns):

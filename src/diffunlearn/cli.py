@@ -39,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """A ``--count`` of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
@@ -84,7 +95,7 @@ def build_parser() -> _Parser:
         from_checkpoint,
     )
     add("gen-prompts", cmd_gen_prompts, "emit forget/remain prompt pairs").add_argument(
-        "--count", type=int, default=8, help="pairs per split"
+        "--count", type=_count, default=8, help="pairs per split"
     )
     return parser
 

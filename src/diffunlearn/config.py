@@ -57,20 +57,12 @@ class MixtureSection:
     radius: float = 5.0
     sigma: float = 0.3
     samples_per_class: int = 1000
-    means: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         # Eager build so a bad field fails at config load, not mid-pipeline.
         self.build()
 
     def build(self) -> MixtureSpec:
-        if self.means is not None:
-            return MixtureSpec(
-                num_classes=self.num_classes,
-                means=np.asarray(self.means, dtype=np.float64),
-                sigma=self.sigma,
-                samples_per_class=self.samples_per_class,
-            )
         return circle_mixture(
             num_classes=self.num_classes,
             radius=self.radius,
@@ -142,14 +134,11 @@ class UnlearnSection:
 @dataclass(frozen=True)
 class SweepSection:
     forget_weights: tuple[float, ...] = (0.5, 1.0, 5.0)
-    loss_caps: tuple[float, ...] | None = None
     loss_cap_scales: tuple[float, ...] = (0.5, 1.0, 2.0)
     strategies: tuple[str, ...] = ("restricted", "graddiff")
 
     def __post_init__(self):
         if len(self.forget_weights) == 0 or len(self.loss_cap_scales) == 0:
-            raise DomainError("sweep grids must be nonempty")
-        if self.loss_caps is not None and len(self.loss_caps) == 0:
             raise DomainError("sweep grids must be nonempty")
         if len(self.strategies) == 0:
             raise DomainError("sweep needs at least one strategy")
@@ -157,9 +146,8 @@ class SweepSection:
         # bounds here instead of failing the command after the checkpoint loads.
         if any(not 0.0 <= w < math.inf for w in self.forget_weights):
             raise DomainError("forget_weights must be finite and >= 0")
-        for name in ("loss_caps", "loss_cap_scales"):
-            if any(not 0.0 < v < math.inf for v in getattr(self, name) or ()):
-                raise DomainError(f"{name} must be finite and > 0")
+        if any(not 0.0 < v < math.inf for v in self.loss_cap_scales):
+            raise DomainError("loss_cap_scales must be finite and > 0")
         for name in self.strategies:
             parse_strategy(name)
 

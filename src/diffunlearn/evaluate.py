@@ -54,14 +54,13 @@ class EvalConfig:
             forget condition).
         none_threshold: Distance cutoff in sigma units past which a sample
             classifies as "none".
-        bandwidth: Gaussian kernel width for the MMD; None selects the
-            population median of the distance between two independent
-            draws of the retained mixture.
+
+    The MMD's kernel width comes from the mixture: :func:`full_eval` takes
+    the population median of the retained mixture's pairwise distance.
     """
 
     n_per_condition: int = 500
     none_threshold: float = 4.0
-    bandwidth: float | None = None
 
     def __post_init__(self):
         # The MMD's same-class blocks are U-statistics, which need a pair.
@@ -69,8 +68,6 @@ class EvalConfig:
             raise DomainError("n_per_condition must be >= 2")
         if not self.none_threshold > 0.0:
             raise DomainError("none_threshold must be > 0")
-        if self.bandwidth is not None and not 0.0 < self.bandwidth < np.inf:
-            raise DomainError("bandwidth must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -412,9 +409,9 @@ def full_eval(
 
     The MMD scores the retained conditions' samples against the retained
     mixture in closed form (:func:`_mixture_mmd`), so nothing else is
-    drawn. Its bandwidth is ``config.bandwidth`` or, when that is None, the
-    population median of the retained mixture's pairwise distance
-    (:func:`_mixture_median`).
+    drawn. Its bandwidth is the population median of the retained
+    mixture's pairwise distance (:func:`_mixture_median`), the median
+    heuristic of Gretton et al. (2012), and the report records it.
     """
     if not (0 <= forget_class < spec.num_classes):
         raise DomainError(
@@ -434,7 +431,7 @@ def full_eval(
     counts = {str(k): int(hist[k + 1]) for k in range(spec.num_classes)}
     counts["none"] = int(hist[0])
     means = spec.means[retained]
-    bandwidth = config.bandwidth or _mixture_median(means, spec.sigma)
+    bandwidth = _mixture_median(means, spec.sigma)
     return EvalReport(
         ua=ua,
         ra=ra,

@@ -270,12 +270,13 @@ def _table(columns, labels, rows):
 
 
 def sweep_grid(config: RunConfig, base_cap: float):
-    """The (forget_weight, loss_cap, strategy) cells in fixed row order."""
+    """The (forget_weight, loss_cap, strategy) cells in fixed row order.
+
+    Each loss cap is a ``sweep.loss_cap_scales`` entry times ``base_cap``;
+    a fixed cap ``c`` is ``unlearn.loss_cap = 1.0`` with scale ``c``.
+    """
     sw = config.sweep
-    if sw.loss_caps is not None:
-        caps = [float(c) for c in sw.loss_caps]
-    else:
-        caps = [float(s) * base_cap for s in sw.loss_cap_scales]
+    caps = [float(s) * base_cap for s in sw.loss_cap_scales]
     return [
         (float(w), cap, strat)
         for w in sw.forget_weights

@@ -22,21 +22,20 @@ class TrainConfig:
         batch_size: Samples per update.
         lr: Initial step size.
         lr_final: Step size at the last update, reached by linear decay;
-            None keeps lr constant.
+            equal to lr, it keeps the step size constant.
     """
 
     steps: int = 30_000
     batch_size: int = 128
     lr: float = 0.05
-    lr_final: float | None = 0.005
+    lr_final: float = 0.005
 
     def __post_init__(self):
         if self.steps < 0:
             raise DomainError("steps must be >= 0")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
-        rates = (self.lr,) if self.lr_final is None else (self.lr, self.lr_final)
-        if not all(0.0 < lr < np.inf for lr in rates):
+        if not all(0.0 < lr < np.inf for lr in (self.lr, self.lr_final)):
             raise DomainError("learning rates must be finite and > 0")
 
 
@@ -62,7 +61,7 @@ def pretrain(
     """
     _check_sets(model, schedule, data)
     gen, _ = as_generator(rng)
-    lr_final = config.lr if config.lr_final is None else config.lr_final
+    lr_final = config.lr_final
     batch = config.batch_size
     params = np.array(model.params)
     grad = np.empty_like(params)

@@ -114,7 +114,7 @@ def reference_pretrain(model, data, schedule, config, rng):
     ``diffusion_loss`` and rebuilds the model with ``with_params``.
     """
     gen, _ = as_generator(rng)
-    lr_final = config.lr if config.lr_final is None else config.lr_final
+    lr_final = config.lr_final
     history = []
     for step in range(config.steps):
         frac = step / config.steps

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,25 @@ class TestCsvRows:
         artifacts.write_rows_csv(path, columns, rows)
         back = artifacts.read_rows_csv(path, columns)
         assert back == rows
+
+    def test_round_trip_under_an_ascii_locale(self, tmp_path):
+        # The writer encodes UTF-8, so the reader decodes UTF-8 whatever the
+        # locale; the C locale, without coercion or UTF-8 mode, reads ASCII.
+        script = (
+            "import sys\n"
+            "from diffunlearn import artifacts\n"
+            "rows = [{'error': 'DomainError: na\\u00efve \\u00e9'}]\n"
+            "artifacts.write_rows_csv(sys.argv[1], ('error',), rows)\n"
+            "assert artifacts.read_rows_csv(sys.argv[1], ('error',)) == rows\n"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "rows.csv")],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -538,6 +538,15 @@ class TestExitCodes:
         assert exc.value.code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_exits_one(self, tmp_path, capsys, count):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-prompts", "--out", str(out), "--count", count])
+        assert exc.value.code == 1
+        assert f"--count: must be an integer >= 1, got '{count}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["compress"])

@@ -1,6 +1,10 @@
 """Config document validation, overrides, hashing, and stage seed streams."""
 
+import dataclasses
 import json
+import re
+import typing
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +91,6 @@ def test_scalar_type_checked():
         ({"sweep": {"strategies": []}}, "sweep"),
         ({"sweep": {"strategies": ["nope"]}}, "sweep"),
         ({"forget_class": 99}, "forget_class"),
-        ({"mixture": {"num_classes": 3, "means": [[0, 0], [1, 1]]}}, "mixture"),
         ({"pretrain": {"steps": 10.5}}, r"pretrain\.steps"),
         ({"unlearn": {"iterations": True}}, r"unlearn\.iterations"),
         ({"unlearn": {"loss_cap": True}}, r"unlearn\.loss_cap"),
@@ -95,7 +98,6 @@ def test_scalar_type_checked():
         ({"pretrain": {"lr": float("nan")}}, r"pretrain\.lr"),
         ({"unlearn": {"step_size": float("nan")}}, r"unlearn\.step_size"),
         ({"mixture": {"sigma": float("nan")}}, r"mixture\.sigma"),
-        ({"eval": {"bandwidth": float("inf")}}, r"eval\.bandwidth"),
         ({"unlearn": {"loss_cap": float("-inf")}}, r"unlearn\.loss_cap"),
         (
             {"sweep": {"forget_weights": [1.0, float("nan")]}},
@@ -105,8 +107,6 @@ def test_scalar_type_checked():
         ({"sweep": {"forget_weights": [1.0, -1.0]}}, "sweep.*forget_weights"),
         ({"sweep": {"loss_cap_scales": [-2.0]}}, "sweep.*loss_cap_scales"),
         ({"sweep": {"loss_cap_scales": [0.0]}}, "sweep.*loss_cap_scales"),
-        ({"sweep": {"loss_caps": [0.0]}}, "sweep.*loss_caps"),
-        ({"sweep": {"loss_caps": [1.0, -0.5]}}, "sweep.*loss_caps"),
     ],
     ids=lambda v: str(v)[:40],
 )
@@ -132,21 +132,48 @@ def test_diverse_strategy_names_accepted():
         config_from_dict({"unlearn": {"strategy": "bogus+diverse"}})
 
 
-def test_explicit_means_build_mixture():
-    cfg = config_from_dict(
-        {
-            "forget_class": 1,
-            "mixture": {
-                "num_classes": 2,
-                "means": [[0.0, 0.0], [3.0, 0.0]],
-                "sigma": 0.5,
-                "samples_per_class": 10,
-            },
-        }
-    )
-    spec = cfg.mixture.build()
-    assert spec.means.shape == (2, 2)
-    assert spec.means[1, 0] == 3.0
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param("mixture.means", [[float(k), 0.0] for k in range(5)], id="mixture.means"),
+        pytest.param("eval.bandwidth", 1.5, id="eval.bandwidth"),
+        pytest.param("sweep.loss_caps", [0.5, 1.5], id="sweep.loss_caps"),
+        pytest.param("pretrain.lr_final", None, id="pretrain.lr_final"),
+    ],
+)
+def test_removed_fields_rejected(path, value):
+    # Each asked again for what another field settles: radius, the mixture's
+    # median, unlearn.loss_cap 1.0 with loss_cap_scales, and lr_final = lr.
+    section, name = path.split(".")
+    with pytest.raises(ConfigError, match=rf"field '{section}\.{name}'"):
+        config_from_dict({section: {name: value}})
+
+
+def _nullable_fields(cls) -> set:
+    """Names of the fields, at any depth, whose annotation admits null."""
+    names = set()
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            names |= _nullable_fields(hint)
+        elif type(None) in typing.get_args(hint):
+            names.add(name)
+    return names
+
+
+def test_readme_configuration_table_matches_the_config():
+    # Each section's row names exactly that section's fields, and the
+    # sentence before the table exactly the fields that take null.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    part = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    intro, table = part.split("\n| section |", 1)
+    sentence = re.search(r"only ([^.]*) takes? `null`", intro.replace("\n", " "))
+    assert set(re.findall(r"`([a-z_]+)`", sentence[1])) == _nullable_fields(RunConfig)
+    doc = default_config_dict()
+    want = {"top level": {key for key, v in doc.items() if not isinstance(v, dict)}}
+    want.update({key: set(v) for key, v in doc.items() if isinstance(v, dict)})
+    rows = [line.split(" | ", 1) for line in table.split("\n\n", 1)[0].splitlines()[2:]]
+    got = {row[0].strip("| `"): set(re.findall(r"`([a-z_]+)`", row[1])) for row in rows}
+    assert got == want
 
 
 def test_load_config_file(tmp_path):
@@ -175,16 +202,16 @@ class TestOverrides:
                 "seed=7",
                 "unlearn.forget_weight=2.5",
                 "unlearn.iterations=3",
-                "eval.bandwidth=null",
-                "sweep.loss_caps=[0.5,1.5]",
+                "unlearn.loss_cap=null",
+                "sweep.loss_cap_scales=[0.5,1.5]",
             ],
         )
         cfg = config_from_dict(raw)
         assert cfg.seed == 7
         assert cfg.unlearn.forget_weight == 2.5
         assert cfg.unlearn.iterations == 3
-        assert cfg.eval.bandwidth is None
-        assert cfg.sweep.loss_caps == (0.5, 1.5)
+        assert cfg.unlearn.loss_cap is None
+        assert cfg.sweep.loss_cap_scales == (0.5, 1.5)
 
     def test_bare_strings_pass_through(self):
         raw = apply_overrides(default_config_dict(), ["unlearn.strategy=graddiff"])

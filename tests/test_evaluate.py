@@ -146,11 +146,6 @@ class TestOracleClassify:
         with pytest.raises(DomainError):
             EvalConfig(none_threshold=np.nan)
 
-    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0])
-    def test_eval_config_rejects_bad_bandwidth(self, bandwidth):
-        with pytest.raises(DomainError):
-            EvalConfig(bandwidth=bandwidth)
-
 
 _IMPORT_ORDER_SCRIPT = """
 import json, sys
@@ -529,13 +524,12 @@ class TestFullEval:
             assert got == want
             assert np.float64(got.mmd).tobytes() == np.float64(want.mmd).tobytes()
 
-    @pytest.mark.parametrize("bandwidth", (None, 1.5))
     @pytest.mark.parametrize("n", (400, 1100))
-    def test_matches_serial_sampling_on_worker_threads(self, toy3, monkeypatch, n, bandwidth):
+    def test_matches_serial_sampling_on_worker_threads(self, toy3, monkeypatch, n):
         # Groups of two and one conditions at n = 400, three groups of one
         # at 1,100. At 1, 2 and 3 workers the report is the serial oracle's
-        # bit for bit, whether the bandwidth is the mixture's median or given.
-        config = EvalConfig(n_per_condition=n, bandwidth=bandwidth)
+        # bit for bit.
+        config = EvalConfig(n_per_condition=n)
         with monkeypatch.context() as patch:
             patch.setattr(evaluate_mod, "_sample_classes", reference_full_eval_samples)
             want = full_eval(toy3.model, 1, toy3.spec, toy3.schedule, config, 5)
@@ -545,19 +539,17 @@ class TestFullEval:
             assert got == want
             assert np.float64(got.mmd).tobytes() == np.float64(want.mmd).tobytes()
 
-    @pytest.mark.parametrize("bandwidth", (None, 1.5))
-    def test_needs_no_sample_vs_sample_form(self, toy3, monkeypatch, bandwidth):
-        # The MMD and its default bandwidth come from the mixture, so neither
-        # the streamed mmd nor the one-array median_bandwidth runs.
+    def test_needs_no_sample_vs_sample_form(self, toy3, monkeypatch):
+        # The MMD and its bandwidth come from the mixture, so neither the
+        # streamed mmd nor the one-array median_bandwidth runs.
         def forbidden(*args):
             raise AssertionError("full_eval called a sample-vs-sample form")
 
         monkeypatch.setattr(evaluate_mod, "median_bandwidth", forbidden)
         monkeypatch.setattr(evaluate_mod, "mmd", forbidden)
-        config = EvalConfig(n_per_condition=100, bandwidth=bandwidth)
+        config = EvalConfig(n_per_condition=100)
         report = full_eval(toy3.model, 0, toy3.spec, toy3.schedule, config, 8)
         assert np.isfinite(report.mmd)
-        assert bandwidth is None or report.bandwidth == bandwidth
 
     def test_deterministic_per_seed(self, toy3):
         config = EvalConfig(n_per_condition=100)

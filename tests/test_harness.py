@@ -175,13 +175,16 @@ class TestSweep:
         assert grid[2] == (1.0, 2.0, "restricted")
         assert grid[-1] == (5.0, 2.0, "graddiff")
 
-    def test_explicit_caps_override_scales(self, tiny_run):
-        config, *_ = tiny_run
+    def test_unit_loss_cap_makes_the_scales_the_caps(self, tiny_run):
+        # A fixed list of caps is unlearn.loss_cap 1.0 with those scales.
+        config, spec, data, schedule, model = tiny_run
         cfg = dataclasses.replace(
             config,
-            sweep=dataclasses.replace(config.sweep, loss_caps=(0.7, 1.3)),
+            unlearn=dataclasses.replace(config.unlearn, loss_cap=1.0),
+            sweep=dataclasses.replace(config.sweep, loss_cap_scales=(0.7, 1.3)),
         )
-        caps = {cap for _, cap, _ in harness.sweep_grid(cfg, base_cap=100.0)}
+        base_cap = harness.resolve_loss_cap(cfg, model, data, schedule)
+        caps = {cap for _, cap, _ in harness.sweep_grid(cfg, base_cap)}
         assert caps == {0.7, 1.3}
 
     def test_run_sweep_rows_and_summary(self, tiny_run):

@@ -69,7 +69,7 @@ class TestPretrain:
 
 @pytest.mark.parametrize(
     "steps, batch_size, lr_final",
-    [(40, 1, 0.005), (40, 128, 0.005), (40, 128, None), (0, 128, 0.005)],
+    [(40, 1, 0.005), (40, 128, 0.005), (40, 128, 0.05), (0, 128, 0.005)],
 )
 @pytest.mark.parametrize("hidden", [(64,), (64, 64), (64, 32, 48)])
 def test_pretrain_matches_per_step_reference(hidden, steps, batch_size, lr_final):

@@ -359,6 +359,31 @@ class TestExitCodes:
         assert rc == 1
         assert "mixtur" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            pytest.param("mixture", "means", [[float(k), 0.0] for k in range(3)], id="means"),
+            pytest.param("eval", "bandwidth", 1.5, id="bandwidth"),
+            pytest.param("sweep", "loss_caps", [0.5, 1.5], id="loss_caps"),
+            pytest.param("pretrain", "lr_final", None, id="lr_final"),
+        ],
+    )
+    def test_removed_field_in_file_exits_one_naming_it(
+        self, tmp_path, capsys, section, name, value
+    ):
+        # An otherwise valid document that still sets a removed field
+        # stops before any artifact is written.
+        raw = tiny_raw()
+        raw[section][name] = value
+        bad = tmp_path / "old.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        rc = main(["gen-data", "--config", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err and f"field '{section}.{name}'" in err
+        assert not out.exists()
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

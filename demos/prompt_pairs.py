@@ -1,9 +1,10 @@
-"""Generate paired forget/remain prompts from a slot template.
+"""Generate paired forget/remain prompts from the package's slot template.
 
-Each pair fills the same template twice: once with the concept token to be
-forgotten, once without it (with the leading article repaired). Dimension
-subconcepts are split disjointly between train and test so evaluation never
-sees a training combination. Run:
+Each pair fills ``prompts.TEMPLATE`` twice: once with one of
+``prompts.CONCEPT_TOKENS``, the concept to be forgotten, and once without it
+(with the leading article repaired). Each pool of ``prompts.DIMENSIONS`` is
+split into disjoint train and test halves, so evaluation never sees a
+training subconcept. Run:
 
     python3 demos/prompt_pairs.py [--count N]
 """
@@ -11,7 +12,7 @@ sees a training combination. Run:
 import argparse
 from collections import Counter
 
-from diffunlearn.prompts import PromptTemplateSpec, gen_prompt_pairs
+from diffunlearn.prompts import CONCEPT_TOKENS, DIMENSIONS, TEMPLATE, gen_prompt_pairs
 
 
 def main():
@@ -20,16 +21,15 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    spec = PromptTemplateSpec()
-    print(f"template: {spec.template}")
-    for name, values in spec.dimensions.items():
+    print(f"template: {TEMPLATE}")
+    for name, values in DIMENSIONS.items():
         print(f"  {name}: {', '.join(values)}")
-    print(f"  concept tokens: {', '.join(spec.concept_tokens)}\n")
+    print(f"  concept tokens: {', '.join(CONCEPT_TOKENS)}\n")
 
-    records = gen_prompt_pairs(spec, args.count, args.seed)
+    records = gen_prompt_pairs(args.count, args.seed)
     for record in records:
         token = next(
-            t for t in spec.concept_tokens if f" {t} " in f" {record['forget_prompt']} "
+            t for t in CONCEPT_TOKENS if f" {t} " in f" {record['forget_prompt']} "
         )
         print(f"[{record['split']}] {record['id']}  (token: {token})")
         print(f"  forget: {record['forget_prompt']}")

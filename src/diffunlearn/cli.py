@@ -27,7 +27,7 @@ from .config import (
 from .data import save_dataset
 from .errors import CheckpointError, ConfigError
 from .evaluate import save_eval_report
-from .prompts import PromptTemplateSpec, gen_prompt_pairs, save_prompt_pairs
+from .prompts import gen_prompt_pairs
 from .unlearn import DIVERSE, STRATEGIES, write_trajectory_csv
 
 
@@ -135,18 +135,20 @@ def _checkpoint_path(args, config) -> Path:
 
 
 def _checkpoint_model(path, config):
-    """The model in checkpoint ``path``, whose schedule must be the config's.
-
-    Every command that reads a checkpoint runs on ``config.schedule`` and
-    stamps the config's hash, so a checkpoint trained on another schedule is
-    a config error.
-    """
+    """The model in checkpoint ``path``, whose schedule and sizes must be those
+    ``train`` builds from the config: the command stamps the config's hash."""
     model, schedule, _ = load_checkpoint(path)
     if schedule != config.schedule:
         raise ConfigError(
             f"config schedule {config.schedule} differs from the schedule "
             f"{schedule} of checkpoint {path}"
         )
+    for name, value in harness.architecture(config).items():
+        if getattr(model, name) != value:
+            raise ConfigError(
+                f"config {name} {value} differs from the {name} "
+                f"{getattr(model, name)} of checkpoint {path}"
+            )
     return model
 
 
@@ -284,8 +286,9 @@ def _report_cells(rows, name, keys) -> int:
 
 def cmd_gen_prompts(args, raw, config) -> int:
     seed = stage_seed(config.seed, STAGE_PROMPTS)
-    pairs = gen_prompt_pairs(PromptTemplateSpec(), args.count, seed)
-    _write(args, config.paths.report_dir, "prompts.jsonl", save_prompt_pairs, pairs)
+    pairs = gen_prompt_pairs(args.count, seed)
+    report_dir = config.paths.report_dir
+    _write(args, report_dir, "prompts.jsonl", lambda p: artifacts.write_jsonl(p, pairs))
     print(f"pairs={len(pairs)}")
     return 0
 

@@ -175,6 +175,9 @@ class RunConfig:
     paths: PathsSection = field(default_factory=PathsSection)
 
     def __post_init__(self):
+        # SeedSequence, which derives every stage's stream, takes no negative.
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not (0 <= self.forget_class < self.mixture.num_classes):
             raise DomainError(
                 "forget_class must name one of the mixture classes"

@@ -108,17 +108,21 @@ def build_schedule(config: RunConfig):
     return config.schedule
 
 
-def init_from_config(config: RunConfig, spec=None):
+def architecture(config: RunConfig, spec=None) -> dict:
+    """The sizes of the model that ``train`` builds from this config."""
     if spec is None:
         spec = config.mixture.build()
+    return {
+        "input_dim": spec.input_dim,
+        "hidden_dims": config.model.hidden_dims,
+        "num_classes": spec.num_classes,
+        "num_timesteps": config.schedule.num_timesteps,
+    }
+
+
+def init_from_config(config: RunConfig, spec=None):
     gen, _ = as_generator(stage_seed(config.seed, STAGE_INIT))
-    return init_model(
-        input_dim=spec.input_dim,
-        hidden_dims=config.model.hidden_dims,
-        num_classes=spec.num_classes,
-        num_timesteps=config.schedule.num_timesteps,
-        rng=gen,
-    )
+    return init_model(**architecture(config, spec), rng=gen)
 
 
 def pretrain_from_config(config: RunConfig, data: LabeledDataset, spec=None):

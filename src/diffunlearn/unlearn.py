@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,17 +59,6 @@ def parse_strategy(label: str) -> tuple[str, bool]:
             f"{DIVERSE!r}, got {label!r}"
         )
     return base, base != label
-
-
-TRAJECTORY_COLUMNS = (
-    "iteration",
-    "loss_r",
-    "loss_f",
-    "raw_forget_mse",
-    "conflicted",
-    "dot",
-    "truncated_fraction",
-)
 
 
 @dataclass(frozen=True)
@@ -135,6 +124,9 @@ class StepReport:
     conflicted: bool
     dot: float
     truncated_fraction: float
+
+
+TRAJECTORY_COLUMNS = tuple(f.name for f in fields(StepReport))
 
 
 def forgetting_loss(

@@ -28,7 +28,7 @@ from diffunlearn.config import config_from_dict, default_config_dict
 from diffunlearn.data import remain_set
 from diffunlearn.nn import squared_error_backward
 from diffunlearn.projection import project_away, restricted_gradient
-from diffunlearn.prompts import PromptTemplateSpec, gen_prompt_pairs, render_pair
+from diffunlearn.prompts import CONCEPT_TOKENS, DIMENSIONS, gen_prompt_pairs, render_pair
 from gradcheck import finite_diff_grad, mean_squared_error, random_model
 
 RUN_SEEDS = (101, 102, 103)
@@ -382,35 +382,33 @@ def test_restricted_retention_varies_less_across_cap_grid(experiment, margin):
     "forget prompt minus the concept token",
 )
 def test_prompt_splits_and_pairing():
-    spec = PromptTemplateSpec()
-    records = gen_prompt_pairs(spec, 8, 2026)
+    records = gen_prompt_pairs(8, 2026)
 
     used = {
-        split: {dim: set() for dim in spec.dimensions}
+        split: {dim: set() for dim in DIMENSIONS}
         for split in ("train", "test")
     }
     for r in records:
         padded = f" {r['forget_prompt']} "
-        for dim, values in spec.dimensions.items():
+        for dim, values in DIMENSIONS.items():
             hits = {v for v in values if f" {v} " in padded}
             assert len(hits) == 1
             used[r["split"]][dim] |= hits
 
         # Independent reconstruction: drop the concept token, then re-agree
         # a leading article with the word now following it.
-        tokens = [t for t in spec.concept_tokens if f" {t} " in padded]
+        tokens = [t for t in CONCEPT_TOKENS if f" {t} " in padded]
         assert len(tokens) == 1
         words = r["forget_prompt"].replace(f"{tokens[0]} ", "", 1).split()
         if words[0] in ("A", "An"):
             words[0] = "An" if words[1][:1].lower() in "aeiou" else "A"
         assert r["remain_prompt"] == " ".join(words)
 
-    for dim in spec.dimensions:
+    for dim in DIMENSIONS:
         assert used["train"][dim] & used["test"][dim] == set()
         assert used["train"][dim] and used["test"][dim]
 
     forget, remain = render_pair(
-        spec,
         "unclad",
         {
             "mood": "melancholic",

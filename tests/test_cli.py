@@ -384,6 +384,22 @@ class TestExitCodes:
         assert "config error: " in err and f"field '{section}.{name}'" in err
         assert not out.exists()
 
+    def test_negative_seed_flag_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["gen-data", "--out", str(out), "--seed", "-1"]) == 1
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_file_exits_one(self, tmp_path, capsys):
+        raw = tiny_raw()
+        raw["seed"] = -1
+        bad = tmp_path / "neg.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -546,6 +562,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: config schedule" in err
         assert "num_timesteps=6" in err and "num_timesteps=8" in err
+        assert sorted(trained.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["unlearn", "eval"])
+    @pytest.mark.parametrize(
+        "override, name, config_value, checkpoint_value",
+        [
+            ("model.hidden_dims=[16]", "hidden_dims", "(16,)", "(8,)"),
+            ("mixture.num_classes=4", "num_classes", "4", "3"),
+            # A config with fewer classes than the checkpoint ran and scored.
+            ("mixture.num_classes=2", "num_classes", "2", "3"),
+        ],
+        ids=["hidden_dims", "more_classes", "fewer_classes"],
+    )
+    def test_architecture_differing_from_checkpoint_is_config_error(
+        self, trained, cfg_path, capsys, command, override, name, config_value,
+        checkpoint_value,
+    ):
+        before = sorted(trained.iterdir())
+        argv = ["--config", str(cfg_path), "--out", str(trained), "--set", override]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: config {name} {config_value} differs" in err
+        assert f"the {name} {checkpoint_value} of checkpoint" in err
         assert sorted(trained.iterdir()) == before
 
     def test_non_finite_eval_report_exits_two(

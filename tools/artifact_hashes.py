@@ -51,6 +51,7 @@ COMMANDS = [
     ("run", ["gen-data", *SMALL]),
     ("run", ["train", *SMALL]),
     ("run", ["gen-prompts", *SMALL]),
+    ("run/prompts", ["gen-prompts", *SMALL, "--count", "8", "--seed", "9"]),
     *(("run", ["unlearn", *SMALL, "--strategy", label]) for label in LABELS),
     ("run/similar", ["unlearn", *SMALL, "--checkpoint", "{out}/run/pretrained.json",
                      "--set", "unlearn.diversity=similar"]),
